@@ -17,6 +17,7 @@ from coxgraph.corpus import corpus
 from coxgraph.embedding import build_context, kernel_generator_parts
 from coxgraph.freeprod import component_exponents
 from coxgraph.oracle import (
+    ORDER_CHECK_MAX_N,
     OracleReport,
     ab_rank,
     bfs_group_order,
@@ -29,7 +30,7 @@ from coxgraph.perms import Permutation
 
 def reports_for(ctx, seed: int, trials: int):
     yield check_relators(ctx)
-    if ctx.n <= 9:
+    if ctx.n <= ORDER_CHECK_MAX_N:
         gens = [Permutation.transposition(ctx.n, e.a, e.b)
                 for e in ctx.graph.edges]
         rep = OracleReport("symmetric-order")

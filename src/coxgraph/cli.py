@@ -8,6 +8,7 @@ failures or a word uses an unknown label, 2 on usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -17,15 +18,16 @@ from .embedding import (
     VerdictKind,
     build_context,
     equal,
-    in_kernel,
     is_trivial,
     kernel_generator_parts,
     parse_word,
+    phi,
     structure_report,
 )
 from .freeprod import FStarElement, component_exponents
 from .graphs import GraphError, parse_graph
 from .oracle import (
+    ORDER_CHECK_MAX_N,
     OracleReport,
     ab_rank,
     bfs_group_order,
@@ -33,10 +35,8 @@ from .oracle import (
     identity_suite,
     parabolic_check,
 )
-from .perms import Permutation, perm_of_word
+from .perms import Permutation
 from .presentation import AGenerator, tsaranov_presentation
-
-ORDER_CHECK_MAX_N = 9  # 9! stays under the closure guard
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -256,17 +256,18 @@ def _cmd_kernel(args) -> int:
     ctx = _load_context(args.file)
     word = parse_word(args.word)
     _require_labels(ctx, word)
-    member, fpart = in_kernel(ctx, word)
+    g = phi(ctx, word)
+    member = g.perm.is_identity()
     if args.porcelain:
         print(f"kernel={str(member).lower()}")
-        print(f"fpart={fpart}")
+        print(f"fpart={g.f}")
         if not member:
-            print(f"perm={perm_of_word(ctx.graph, word)}")
+            print(f"perm={g.perm}")
         return 0
     print("IN KERNEL" if member else "NOT IN KERNEL")
-    print(f"free part: {fpart}")
+    print(f"free part: {g.f}")
     if not member:
-        print(f"permutation: {perm_of_word(ctx.graph, word)}")
+        print(f"permutation: {g.perm}")
     return 0
 
 
@@ -284,9 +285,7 @@ def _cmd_verify(args) -> int:
             Permutation.transposition(ctx.n, e.a, e.b) for e in ctx.graph.edges
         ]
         order_report = OracleReport("symmetric-order")
-        expected = 1
-        for k in range(2, ctx.n + 1):
-            expected *= k
+        expected = math.factorial(ctx.n)
         got = bfs_group_order(gens)
         order_report.record("closure-size", f"n={ctx.n}", str(expected),
                             str(got), got == expected)

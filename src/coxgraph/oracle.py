@@ -19,6 +19,8 @@ from .graphs import edge_subgraph, is_connected
 from .perms import Permutation, compose, perm_of_word
 from .presentation import AGenerator, mu, relators
 
+ORDER_CHECK_MAX_N = 9  # 9! stays under the closure guard
+
 Failure = tuple[str, str, str, str]  # (check id, inputs, expected, got)
 
 

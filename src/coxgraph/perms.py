@@ -101,9 +101,12 @@ def compose(s: Permutation, t: Permutation) -> Permutation:
 def perm_of_word(g, word: Iterable[str]) -> Permutation:
     """Evaluate an edge word to a permutation, each label acting as the
     transposition of its endpoints, first letter first.
+
+    Multiplying on the right by (a b) swaps entries a and b of the inverse
+    image list, so each letter costs O(1).
     """
-    result = Permutation.identity(g.n)
+    where = list(range(1, g.n + 1))
     for label in word:
         e = g.edge(label)
-        result = compose(result, Permutation.transposition(g.n, e.a, e.b))
-    return result
+        where[e.a - 1], where[e.b - 1] = where[e.b - 1], where[e.a - 1]
+    return Permutation(where).inverse()

@@ -30,9 +30,10 @@ from coxgraph.freeprod import (
     component_exponents,
     sd_inv,
     sd_mul,
+    sd_prod,
     word,
 )
-from coxgraph.graphs import DisconnectedError, parse_graph
+from coxgraph.graphs import DisconnectedError, Graph, parse_graph
 from coxgraph.perms import Permutation, compose, perm_of_word
 from coxgraph.presentation import AGenerator, mu, relators
 from coxgraph.oracle import ab_rank, random_word
@@ -104,8 +105,10 @@ def test_triangle_chord_palindrome(triangle_ctx):
 
 
 def test_phi_unknown_label(triangle_ctx):
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match="unknown edge label 'nope'"):
         phi(triangle_ctx, ("nope",))
+    with pytest.raises(KeyError, match="unknown edge label 'q'"):
+        phi(triangle_ctx, ("a", "c", "q", "b"))
 
 
 def test_phi_perm_part_matches_word_evaluation(corpus_contexts):
@@ -115,6 +118,52 @@ def test_phi_perm_part_matches_word_evaluation(corpus_contexts):
         for _ in range(500):
             w = random_word(rng, labels, 12)
             assert phi(ctx, w).perm == perm_of_word(ctx.graph, w)
+
+
+def _fold(ctx, w):
+    """The reference evaluation: the sd_mul fold of the letter images."""
+    return sd_prod(ctx.n, (ctx.letter_image(x) for x in w))
+
+
+def test_phi_matches_fold_on_corpus(corpus_contexts):
+    rng = random.Random(17)
+    for ctx in corpus_contexts.values():
+        labels = ctx.graph.labels
+        words = [()] + [(x,) for x in labels]
+        words += [(x, y) for x in labels for y in labels]
+        for length in (3, 10, 40, 150, 300):
+            words.append(tuple(rng.choice(labels) for _ in range(length)))
+        for w in words:
+            assert phi(ctx, w) == _fold(ctx, w), w
+
+
+def _with_k4(g):
+    """The graph with every missing edge among vertices 1..4 added."""
+    have = {frozenset((e.a, e.b)) for e in g.edges}
+    extra = [
+        (f"k{a}{b}", a, b)
+        for a in range(1, 5) for b in range(a + 1, 5)
+        if frozenset((a, b)) not in have
+    ]
+    return Graph(g.n, [(e.label, e.a, e.b) for e in g.edges] + extra)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_phi_matches_fold_on_random_graphs(data):
+    g = data.draw(random_connected_graphs())
+    if g.n >= 4 and data.draw(st.booleans()):
+        g = _with_k4(g)
+    ctx = build_context(g)
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    for length in (0, 1, 2, rng.randrange(3, 300)):
+        w = tuple(rng.choice(g.labels) for _ in range(length))
+        assert phi(ctx, w) == _fold(ctx, w)
+
+
+def test_phi_consumes_a_generator(sixpts_ctx):
+    w = tuple(random_word(random.Random(5), sixpts_ctx.graph.labels, 60))
+    assert phi(sixpts_ctx, (x for x in w)) == phi(sixpts_ctx, w)
 
 
 # ------------------------------------------------------------------ gamma

@@ -84,6 +84,20 @@ def test_unknown_label_raises():
         perm_of_word(STAR, ("a", "q"))
 
 
+def test_word_evaluation_matches_transposition_fold(corpus_graphs):
+    rng = random.Random(3)
+    for g in corpus_graphs.values():
+        labels = g.labels
+        for length in (0, 1, 2, 7, 60):
+            w = tuple(rng.choice(labels) for _ in range(length))
+            expected = Permutation.identity(g.n)
+            for label in w:
+                e = g.edge(label)
+                expected = compose(expected, Permutation.transposition(g.n, e.a, e.b))
+            assert perm_of_word(g, w) == expected
+            assert perm_of_word(g, iter(w)) == expected
+
+
 def test_word_evaluation_is_multiplicative(corpus_graphs):
     rng = random.Random(2)
     for g in corpus_graphs.values():
