@@ -6,7 +6,6 @@ Exits nonzero if any check fails anywhere.
 """
 
 import argparse
-import math
 import pathlib
 import sys
 import time
@@ -14,41 +13,8 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from coxgraph.corpus import corpus
-from coxgraph.embedding import build_context, kernel_generator_parts
-from coxgraph.freeprod import component_exponents
-from coxgraph.oracle import (
-    ORDER_CHECK_MAX_N,
-    OracleReport,
-    ab_rank,
-    bfs_group_order,
-    check_relators,
-    identity_suite,
-    parabolic_check,
-)
-from coxgraph.perms import Permutation
-
-
-def reports_for(ctx, seed: int, trials: int):
-    yield check_relators(ctx)
-    if ctx.n <= ORDER_CHECK_MAX_N:
-        gens = [Permutation.transposition(ctx.n, e.a, e.b)
-                for e in ctx.graph.edges]
-        rep = OracleReport("symmetric-order")
-        got = bfs_group_order(gens)
-        want = math.factorial(ctx.n)
-        rep.record("closure-size", f"n={ctx.n}", str(want), str(got), got == want)
-        yield rep
-    rep = OracleReport("kernel-rank")
-    rows = [component_exponents(f) for f in kernel_generator_parts(ctx)]
-    want = ctx.t * (ctx.n - 1)
-    got = ab_rank(rows)
-    rep.record("abelianized-rank", f"t={ctx.t}", str(want), str(got), got == want)
-    yield rep
-    if ctx.t >= 1 and ctx.n >= 4:
-        yield identity_suite(seed, ctx.n, ctx.t, trials)
-    yield parabolic_check(ctx, sorted(ctx.tree.tree_edges), trials, seed)
-    for cyc in ctx.cycles:
-        yield parabolic_check(ctx, [cyc.chord, *cyc.cycle_edges], trials, seed)
+from coxgraph.embedding import build_context
+from coxgraph.oracle import full_suite
 
 
 def main() -> int:
@@ -62,7 +28,7 @@ def main() -> int:
     for name, g in corpus().items():
         ctx = build_context(g)
         print(f"== {name}  (n={ctx.n}, t={ctx.t})")
-        for report in reports_for(ctx, args.seed, args.trials):
+        for report in full_suite(ctx, args.seed, args.trials):
             print("  " + report.render().replace("\n", "\n  "))
             if not report.ok:
                 bad += 1

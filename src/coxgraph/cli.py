@@ -8,7 +8,6 @@ failures or a word uses an unknown label, 2 on usage or parse errors.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -19,23 +18,14 @@ from .embedding import (
     build_context,
     equal,
     is_trivial,
-    kernel_generator_parts,
     parse_word,
     phi,
     structure_report,
 )
-from .freeprod import FStarElement, component_exponents
+from .freeprod import FStarElement
 from .graphs import GraphError, parse_graph
-from .oracle import (
-    ORDER_CHECK_MAX_N,
-    OracleReport,
-    ab_rank,
-    bfs_group_order,
-    check_relators,
-    identity_suite,
-    parabolic_check,
-)
-from .perms import Permutation
+# ORDER_CHECK_MAX_N is re-exported: bench/run.py's verify mirror reads it here.
+from .oracle import ORDER_CHECK_MAX_N, full_suite  # noqa: F401
 from .presentation import AGenerator, tsaranov_presentation
 
 
@@ -277,39 +267,7 @@ def _require_labels(ctx: Context, word) -> None:
 
 
 def _cmd_verify(args) -> int:
-    ctx = _load_context(args.file)
-    reports = [check_relators(ctx)]
-
-    if ctx.n <= ORDER_CHECK_MAX_N:
-        gens = [
-            Permutation.transposition(ctx.n, e.a, e.b) for e in ctx.graph.edges
-        ]
-        order_report = OracleReport("symmetric-order")
-        expected = math.factorial(ctx.n)
-        got = bfs_group_order(gens)
-        order_report.record("closure-size", f"n={ctx.n}", str(expected),
-                            str(got), got == expected)
-        reports.append(order_report)
-
-    rank_report = OracleReport("kernel-rank")
-    rows = [component_exponents(f) for f in kernel_generator_parts(ctx)]
-    expected_rank = ctx.t * (ctx.n - 1)
-    got_rank = ab_rank(rows)
-    rank_report.record("abelianized-rank", f"t={ctx.t} n={ctx.n}",
-                       str(expected_rank), str(got_rank),
-                       got_rank == expected_rank)
-    reports.append(rank_report)
-
-    if ctx.t >= 1 and ctx.n >= 4:
-        reports.append(identity_suite(args.seed, ctx.n, ctx.t, args.trials))
-
-    reports.append(
-        parabolic_check(ctx, sorted(ctx.tree.tree_edges), args.trials, args.seed)
-    )
-    for cyc in ctx.cycles:
-        sub = [cyc.chord, *cyc.cycle_edges]
-        reports.append(parabolic_check(ctx, sub, args.trials, args.seed))
-
+    reports = full_suite(_load_context(args.file), args.seed, args.trials)
     ok = True
     for report in reports:
         print(report.render())

@@ -37,10 +37,6 @@ def parse_word(text: str) -> EdgeWord:
     return tuple(text.split())
 
 
-def word_text(w: EdgeWord) -> str:
-    return " ".join(w)
-
-
 def reverse_word(w: EdgeWord) -> EdgeWord:
     """The inverse word; edge generators are involutions."""
     return tuple(reversed(w))

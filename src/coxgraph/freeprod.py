@@ -32,11 +32,28 @@ class ReducedWord:
             if e not in (1, -1):
                 raise ValueError(f"exponent must be +-1, got {x}^{e}")
 
+    @classmethod
+    def _trusted(cls, letters: tuple[Letter, ...]) -> "ReducedWord":
+        """Wrap letters already known to be reduced, without validation."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "letters", letters)
+        return w
+
     def __mul__(self, other: "ReducedWord") -> "ReducedWord":
-        return reduce(self.letters + other.letters)
+        # Both factors are reduced, so letters can cancel only at the seam.
+        a, b = self.letters, other.letters
+        if not b:
+            return self
+        if not a:
+            return other
+        k, m = len(a), 0
+        while k and m < len(b) and a[k - 1][0] == b[m][0] and a[k - 1][1] == -b[m][1]:
+            k -= 1
+            m += 1
+        return ReducedWord._trusted(a[:k] + b[m:])
 
     def inverse(self) -> "ReducedWord":
-        return ReducedWord(tuple((x, -e) for x, e in reversed(self.letters)))
+        return ReducedWord._trusted(tuple((x, -e) for x, e in reversed(self.letters)))
 
     def is_identity(self) -> bool:
         return not self.letters
@@ -89,9 +106,6 @@ class FStarElement:
     @property
     def n(self) -> int:
         return len(self.components)
-
-    def component(self, slot: int) -> ReducedWord:
-        return self.components[slot - 1]
 
     def is_identity(self) -> bool:
         return all(w.is_identity() for w in self.components)

@@ -94,9 +94,6 @@ class Graph:
         except KeyError:
             raise KeyError(f"unknown edge label {label!r}") from None
 
-    def has_label(self, label: str) -> bool:
-        return label in self._by_label
-
     def neighbors(self, v: int) -> tuple[tuple[int, str], ...]:
         """Pairs (neighbor, edge label) in ascending neighbor order."""
         return self._adj[v]

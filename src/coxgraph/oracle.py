@@ -1,25 +1,34 @@
 """Independent brute-force verifiers.
 
 Everything here cross-checks the main maps without trusting them: relator
-images are evaluated letter by letter, group orders come from closure under
-multiplication, ranks from fraction-free integer elimination, and the
-algebraic identities from explicit normal-form arithmetic.  All randomness
-is seeded so every failure is replayable.
+images are evaluated letter by letter, group orders come from a
+Schreier-Sims stabilizer chain, ranks from fraction-free integer
+elimination, and the algebraic identities from explicit normal-form
+arithmetic.  All randomness is seeded so every failure is replayable.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .embedding import Context, build_context, is_trivial, phi
-from .freeprod import FStarElement, fstar_mul, fstar_prod
+from .embedding import (
+    Context,
+    build_context,
+    is_trivial,
+    kernel_generator_parts,
+    phi,
+)
+from .freeprod import component_exponents
 from .graphs import edge_subgraph, is_connected
-from .perms import Permutation, compose, perm_of_word
+from .perms import Permutation, perm_of_word
 from .presentation import AGenerator, mu, relators
 
-ORDER_CHECK_MAX_N = 9  # 9! stays under the closure guard
+# The symmetric-order report runs for n up to this; raising it adds a
+# report line to ``verify`` on larger graphs.
+ORDER_CHECK_MAX_N = 9
 
 Failure = tuple[str, str, str, str]  # (check id, inputs, expected, got)
 
@@ -34,11 +43,13 @@ class OracleReport:
     def ok(self) -> bool:
         return not self.failures
 
-    def record(self, check_id: str, inputs: str, expected: str, got: str,
+    def record(self, check_id: str, inputs: str, expected: object, got: object,
                passed: bool) -> None:
+        """Count one check; expected and got are rendered with ``str`` only
+        when it failed."""
         self.checks_run += 1
         if not passed:
-            self.failures.append((check_id, inputs, expected, got))
+            self.failures.append((check_id, inputs, str(expected), str(got)))
 
     def render(self) -> str:
         status = "PASS" if self.ok else "FAIL"
@@ -57,40 +68,114 @@ def check_relators(ctx: Context) -> OracleReport:
     for rel in relators(ctx.graph, "coxy").relators:
         img = phi(ctx, rel)
         report.record(
-            "semidirect-image", " ".join(rel), "identity", str(img),
+            "semidirect-image", " ".join(rel), "identity", img,
             img.is_identity(),
         )
     for rel in relators(ctx.graph, "symmetric").relators:
         img = perm_of_word(ctx.graph, rel)
         report.record(
-            "permutation-image", " ".join(rel), "()", str(img),
+            "permutation-image", " ".join(rel), "()", img,
             img.is_identity(),
         )
     return report
 
 
-def bfs_group_order(gens: Sequence[Permutation], limit: int = 10**6) -> int:
-    """Order of the permutation group generated by gens, by breadth-first
-    closure under right multiplication.  Guarded: raises past the limit.
+def group_order(gens: Sequence[Permutation]) -> int:
+    """Order of the permutation group generated by gens, from a
+    deterministic Schreier-Sims stabilizer chain (Sims 1970; Seress,
+    Permutation Group Algorithms, 2003).
+
+    Level i of the chain holds a base point b_i, the strong generators
+    fixing b_0..b_{i-1}, and the orbit of b_i under them, each orbit point
+    with a coset representative mapping b_i to it.  A level is complete
+    when every Schreier generator of every (orbit point, generator) pair
+    sifts through the deeper levels.  A nonidentity residue joins every
+    level from the next one down to the one where its sifting stopped,
+    and those levels are completed again, deepest first.  The order is
+    then the product of the orbit lengths.
     """
     if not gens:
         return 1
     n = gens[0].n
-    identity = Permutation.identity(n)
-    seen = {identity.images}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for h in gens:
-                prod = compose(g, h)
-                if prod.images not in seen:
-                    seen.add(prod.images)
-                    nxt.append(prod)
-                    if len(seen) > limit:
-                        raise OverflowError(f"group order exceeds guard {limit}")
-        frontier = nxt
-    return len(seen)
+    if any(g.n != n for g in gens):
+        raise ValueError(f"size mismatch in generators of S_{n}")
+    ident = tuple(range(n))
+    # 0-based images; p then q is tuple(map(q.__getitem__, p)).
+    top = [q for q in (tuple(b - 1 for b in g.images) for g in gens) if q != ident]
+    if not top:
+        return 1
+    levels: list[_Level] = []
+
+    def sift(h: tuple[int, ...], start: int) -> tuple[tuple[int, ...], int]:
+        for k in range(start, len(levels)):
+            lvl = levels[k]
+            x = h[lvl.base]
+            if x == lvl.base:
+                continue
+            if x not in lvl.inverses:
+                return h, k
+            h = tuple(map(lvl.inverses[x].__getitem__, h))
+        return h, len(levels)
+
+    def complete(i: int) -> None:
+        lvl = levels[i]
+        while lvl.gens_done < len(lvl.gens) or lvl.points_done < len(lvl.reps):
+            orbit = list(lvl.reps)
+            if lvl.gens_done < len(lvl.gens):
+                points = orbit[:lvl.points_done]
+                new = lvl.gens[lvl.gens_done:]
+                lvl.gens_done = len(lvl.gens)
+            else:
+                points = orbit[lvl.points_done:]
+                new = lvl.gens[:lvl.gens_done]
+                lvl.points_done = len(orbit)
+            for x in points:
+                rep = lvl.reps[x]
+                for s in new:
+                    y = s[x]
+                    step = tuple(map(s.__getitem__, rep))
+                    if y not in lvl.reps:
+                        lvl.add_point(y, step)
+                        continue
+                    h, j = sift(tuple(map(lvl.inverses[y].__getitem__, step)), i + 1)
+                    if h == ident:
+                        continue
+                    if j == len(levels):
+                        levels.append(_Level(next(p for p in range(n) if h[p] != p), n))
+                    for k in range(i + 1, j + 1):
+                        levels[k].gens.append(h)
+                    for k in range(j, i, -1):
+                        complete(k)
+
+    levels.append(_Level(next(p for p in range(n) if top[0][p] != p), n))
+    levels[0].gens.extend(top)
+    complete(0)
+    return math.prod(len(lvl.reps) for lvl in levels)
+
+
+class _Level:
+    """One level of a stabilizer chain: orbit points in discovery order,
+    each with its coset representative and that one's inverse, and the
+    progress through the (orbit point, generator) pairs whose Schreier
+    generators are checked."""
+
+    __slots__ = ("base", "gens", "reps", "inverses", "gens_done", "points_done")
+
+    def __init__(self, base: int, n: int):
+        self.base = base
+        self.gens: list[tuple[int, ...]] = []
+        self.reps: dict[int, tuple[int, ...]] = {}
+        self.inverses: dict[int, tuple[int, ...]] = {}
+        self.gens_done = 0
+        self.points_done = 0
+        self.add_point(base, tuple(range(n)))
+
+    def add_point(self, x: int, rep: tuple[int, ...]) -> None:
+        inv = [0] * len(rep)
+        for a, b in enumerate(rep):
+            inv[b] = a
+        self.reps[x] = rep
+        self.inverses[x] = tuple(inv)
 
 
 def ab_rank(rows: Sequence[Mapping]) -> int:
@@ -123,6 +208,25 @@ def _integer_rank(mat: list[list[int]]) -> int:
     return r
 
 
+class _SlotWords(dict):
+    """A sparse element of the product of free groups: slot -> nonidentity
+    reduced word.  Products act slot by slot, so only touched slots cost."""
+
+    def __mul__(self, other: "_SlotWords") -> "_SlotWords":
+        out = _SlotWords(self)
+        for slot, w in other.items():
+            prod = out[slot] * w if slot in out else w
+            if prod.is_identity():
+                del out[slot]
+            else:
+                out[slot] = prod
+        return out
+
+    def __str__(self) -> str:
+        """The ``FStarElement`` text: ``1: x, 4: x^-1``, or ``1``."""
+        return ", ".join(f"{slot}: {self[slot]}" for slot in sorted(self)) or "1"
+
+
 def identity_suite(seed: int, n: int, t: int, trials: int) -> OracleReport:
     """Random-instance verification of the kernel-generator identities in
     the product of free groups, via normal forms.
@@ -130,23 +234,32 @@ def identity_suite(seed: int, n: int, t: int, trials: int) -> OracleReport:
     Per trial: the diagonal units, the two chain laws, commutation of
     generators on disjoint slot sets (bare and conjugated, both ways), the
     three triple-exchange laws behind the braid relations, and the
-    four-slot fork-exchange law.  Results are a pure function of the
-    arguments.
+    four-slot fork-exchange law.  Each generator is the normal form ``mu``
+    gives, kept on its nonidentity slots only.  Results are a pure
+    function of the arguments.
     """
     if t < 1 or n < 4:
         raise ValueError(f"need t >= 1 and n >= 4, got t={t} n={n}")
     rng = random.Random(seed)
     chords = [f"x{k}" for k in range(1, t + 1)]
     report = OracleReport(f"identity-suite(seed={seed},n={n},t={t})")
+    cache: dict[tuple[str, int, int], _SlotWords] = {}
 
-    def gen(x: str, i: int, j: int) -> FStarElement:
-        return mu(AGenerator(x, i, j), n)
+    def gen(x: str, i: int, j: int) -> _SlotWords:
+        key = (x, i, j)
+        if key not in cache:
+            f = mu(AGenerator(x, i, j), n)
+            cache[key] = _SlotWords(
+                (slot, w) for slot, w in enumerate(f.components, start=1)
+                if not w.is_identity()
+            )
+        return cache[key]
 
-    def check(check_id: str, lhs: FStarElement, rhs: FStarElement,
+    def check(check_id: str, lhs: _SlotWords, rhs: _SlotWords,
               inputs: str) -> None:
-        report.record(check_id, inputs, str(rhs), str(lhs), lhs == rhs)
+        report.record(check_id, inputs, rhs, lhs, lhs == rhs)
 
-    one = FStarElement.identity(n)
+    one = _SlotWords()
     for _ in range(trials):
         i, j, k, l = rng.sample(range(1, n + 1), 4)
         x, y, z = (rng.choice(chords) for _ in range(3))
@@ -154,39 +267,37 @@ def identity_suite(seed: int, n: int, t: int, trials: int) -> OracleReport:
         ctx_str = f"i={i} j={j} k={k} l={l} x={x} y={y} z={z} u={u} v={v} w={w}"
 
         check("unit-diagonal", gen(x, i, i), one, ctx_str)
-        check("chain", fstar_mul(gen(x, i, j), gen(x, j, k)), gen(x, i, k), ctx_str)
-        check("reverse-chain", fstar_mul(gen(x, j, k), gen(x, i, j)),
-              gen(x, i, k), ctx_str)
+        check("chain", gen(x, i, j) * gen(x, j, k), gen(x, i, k), ctx_str)
+        check("reverse-chain", gen(x, j, k) * gen(x, i, j), gen(x, i, k), ctx_str)
         a, b = gen(x, i, j), gen(y, k, l)
-        check("disjoint-commute", fstar_mul(a, b), fstar_mul(b, a), ctx_str)
-        conj = fstar_prod(n, [gen(z, i, k), gen(y, k, l), gen(z, k, i)])
-        check("conjugated-commute", fstar_mul(a, conj), fstar_mul(conj, a), ctx_str)
-        conj2 = fstar_prod(n, [gen(z, k, i), gen(y, k, l), gen(z, i, k)])
-        check("conjugated-commute-inv", fstar_mul(a, conj2),
-              fstar_mul(conj2, a), ctx_str)
+        check("disjoint-commute", a * b, b * a, ctx_str)
+        conj = gen(z, i, k) * gen(y, k, l) * gen(z, k, i)
+        check("conjugated-commute", a * conj, conj * a, ctx_str)
+        conj2 = gen(z, k, i) * gen(y, k, l) * gen(z, i, k)
+        check("conjugated-commute-inv", a * conj2, conj2 * a, ctx_str)
         check(
             "triple-exchange-a",
-            fstar_prod(n, [gen(x, j, k), gen(y, k, i), gen(x, i, j)]),
-            fstar_prod(n, [gen(y, j, i), gen(x, i, k), gen(y, k, j)]),
+            gen(x, j, k) * gen(y, k, i) * gen(x, i, j),
+            gen(y, j, i) * gen(x, i, k) * gen(y, k, j),
             ctx_str,
         )
         check(
             "triple-exchange-b",
-            fstar_prod(n, [gen(x, j, k), gen(y, i, k), gen(x, i, j)]),
-            fstar_prod(n, [gen(y, i, j), gen(x, i, k), gen(y, j, k)]),
+            gen(x, j, k) * gen(y, i, k) * gen(x, i, j),
+            gen(y, i, j) * gen(x, i, k) * gen(y, j, k),
             ctx_str,
         )
         check(
             "triple-exchange-c",
-            fstar_prod(n, [gen(x, k, j), gen(y, i, k), gen(x, j, i)]),
-            fstar_prod(n, [gen(y, i, j), gen(x, k, i), gen(y, j, k)]),
+            gen(x, k, j) * gen(y, i, k) * gen(x, j, i),
+            gen(y, i, j) * gen(x, k, i) * gen(y, j, k),
             ctx_str,
         )
         s = l  # fourth distinct slot
         check(
             "fork-exchange",
-            fstar_prod(n, [gen(u, s, i), gen(v, i, j), gen(u, j, s), gen(w, s, k)]),
-            fstar_prod(n, [gen(w, s, k), gen(u, k, i), gen(v, i, j), gen(u, j, k)]),
+            gen(u, s, i) * gen(v, i, j) * gen(u, j, s) * gen(w, s, k),
+            gen(w, s, k) * gen(u, k, i) * gen(v, i, j) * gen(u, j, k),
             ctx_str,
         )
     return report
@@ -228,3 +339,32 @@ def parabolic_check(ctx: Context, sub_labels: Iterable[str], samples: int,
             inner.kind.value, outer.kind.value, agree,
         )
     return report
+
+
+def full_suite(ctx: Context, seed: int, trials: int) -> list[OracleReport]:
+    """The reports ``coxgraph verify`` prints, in order: relators, the
+    symmetric group order (n up to ``ORDER_CHECK_MAX_N``), the kernel's
+    abelianized rank, the identity suite (t >= 1 and n >= 4), and the
+    parabolic checks on the spanning tree and on each basic cycle.
+    """
+    reports = [check_relators(ctx)]
+    if ctx.n <= ORDER_CHECK_MAX_N:
+        gens = [Permutation.transposition(ctx.n, e.a, e.b) for e in ctx.graph.edges]
+        expected = math.factorial(ctx.n)
+        got = group_order(gens)
+        order = OracleReport("symmetric-order")
+        order.record("closure-size", f"n={ctx.n}", expected, got, got == expected)
+        reports.append(order)
+    rows = [component_exponents(f) for f in kernel_generator_parts(ctx)]
+    expected_rank = ctx.t * (ctx.n - 1)
+    got_rank = ab_rank(rows)
+    rank = OracleReport("kernel-rank")
+    rank.record("abelianized-rank", f"t={ctx.t} n={ctx.n}", expected_rank,
+                got_rank, got_rank == expected_rank)
+    reports.append(rank)
+    if ctx.t >= 1 and ctx.n >= 4:
+        reports.append(identity_suite(seed, ctx.n, ctx.t, trials))
+    subgraphs = [sorted(ctx.tree.tree_edges)]
+    subgraphs += [[cyc.chord, *cyc.cycle_edges] for cyc in ctx.cycles]
+    reports += [parabolic_check(ctx, sub, trials, seed) for sub in subgraphs]
+    return reports

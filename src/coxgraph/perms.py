@@ -20,6 +20,13 @@ class Permutation:
         self.images = images
 
     @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> "Permutation":
+        """Wrap images already known to be a permutation, without validation."""
+        p = object.__new__(cls)
+        p.images = images
+        return p
+
+    @classmethod
     def identity(cls, n: int) -> "Permutation":
         return cls(range(1, n + 1))
 
@@ -53,7 +60,7 @@ class Permutation:
         images = [0] * self.n
         for a, b in enumerate(self.images, start=1):
             images[b - 1] = a
-        return Permutation(images)
+        return Permutation._trusted(tuple(images))
 
     def is_identity(self) -> bool:
         return all(b == a for a, b in enumerate(self.images, start=1))
@@ -95,7 +102,7 @@ def compose(s: Permutation, t: Permutation) -> Permutation:
     """The product st with s applied first: (st)(a) = t(s(a))."""
     if s.n != t.n:
         raise ValueError(f"size mismatch: {s.n} vs {t.n}")
-    return Permutation(tuple(t.images[b - 1] for b in s.images))
+    return Permutation._trusted(tuple(t.images[b - 1] for b in s.images))
 
 
 def perm_of_word(g, word: Iterable[str]) -> Permutation:

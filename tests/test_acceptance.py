@@ -38,7 +38,6 @@ from coxgraph.freeprod import (
 from coxgraph.graphs import Graph, dual_graph, has_forbidden_fork
 from coxgraph.oracle import (
     ab_rank,
-    bfs_group_order,
     check_relators,
     identity_suite,
     parabolic_check,
@@ -46,6 +45,7 @@ from coxgraph.oracle import (
 )
 from coxgraph.perms import Permutation, perm_of_word
 from coxgraph.presentation import AGenerator, mu, tsaranov_presentation
+from reference import bfs_group_order
 
 SEED = 2024
 

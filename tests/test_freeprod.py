@@ -68,9 +68,28 @@ def test_word_times_inverse_is_identity(raw):
     assert (w * w.inverse()).is_identity()
 
 
+@given(raw_words, raw_words, st.integers(0, 14))
+def test_product_matches_reduce(a, b, k):
+    # the second v starts with part of u's inverse, so whole
+    # runs cancel at the seam
+    u = reduce(a)
+    for v in (reduce(b), reduce(u.inverse().letters[:k] + b)):
+        assert u * v == reduce(u.letters + v.letters)
+
+
 def test_constructor_rejects_unreduced():
     with pytest.raises(ValueError):
         ReducedWord((("x", 1), ("x", -1)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ReducedWord((("x", 2),)),
+    lambda: reduce([("x", 1), ("y", 0)]),
+    lambda: word(("x", -2)),
+])
+def test_public_constructors_reject_bad_exponents(make):
+    with pytest.raises(ValueError):
+        make()
 
 
 # ------------------------------------------------------- product arithmetic

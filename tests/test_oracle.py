@@ -1,8 +1,15 @@
+import math
+import random
+import re
+
 import pytest
 
+from coxgraph import oracle
 from coxgraph.corpus import cycle_graph, path_graph, sixpts_graph
 from coxgraph.embedding import build_context, is_trivial, kernel_generator_parts
 from coxgraph.freeprod import (
+    FStarElement,
+    ReducedWord,
     SemidirectElement,
     component_exponents,
     fstar_mul,
@@ -10,14 +17,16 @@ from coxgraph.freeprod import (
 )
 from coxgraph.graphs import edge_subgraph, parse_graph
 from coxgraph.oracle import (
+    OracleReport,
     ab_rank,
-    bfs_group_order,
     check_relators,
+    group_order,
     identity_suite,
     parabolic_check,
 )
 from coxgraph.perms import Permutation, compose
-from coxgraph.presentation import relators
+from coxgraph.presentation import mu, relators
+from reference import bfs_group_order
 
 
 # ---------------------------------------------------------- check_relators
@@ -68,7 +77,20 @@ def test_report_rendering():
     assert "checks)" in text
 
 
-# --------------------------------------------------------------- bfs order
+class _Unprintable:
+    def __str__(self):
+        raise AssertionError("a passing check was rendered")
+
+
+def test_report_renders_failures_only():
+    report = OracleReport("r")
+    report.record("c", "in", _Unprintable(), _Unprintable(), True)
+    report.record("c", "in", 1, 2, False)
+    assert report.checks_run == 2
+    assert report.failures == [("c", "in", "1", "2")]
+
+
+# ------------------------------------------------------------- group order
 
 
 def test_star_transpositions_generate_s4():
@@ -87,6 +109,70 @@ def test_single_transposition():
 
 def test_no_generators():
     assert bfs_group_order([]) == 1
+
+
+def test_group_order_known_groups():
+    cases = [
+        ([Permutation.transposition(4, 1, k) for k in (2, 3, 4)], 24),
+        ([Permutation.transposition(5, i, i + 1) for i in range(1, 5)], 120),
+        ([Permutation.transposition(3, 1, 2)], 2),
+        ([], 1),
+        # intransitive: orbits {1,2,3} and {4,5}, C3 x C2
+        ([Permutation.from_cycles(5, [(1, 2, 3)]),
+          Permutation.transposition(5, 4, 5)], 6),
+        # imprimitive: blocks {1,2}, {3,4}, {5,6}, the wreath product C2 wr C3
+        ([Permutation.transposition(6, 1, 2),
+          Permutation.from_cycles(6, [(1, 3, 5), (2, 4, 6)])], 2**3 * 3),
+    ]
+    for gens, expected in cases:
+        assert group_order(gens) == bfs_group_order(gens) == expected
+
+
+def _random_generating_sets(rng, n):
+    """Seeded generating sets on 1..n: arbitrary, intransitive (each
+    generator preserves 1..m and m+1..n) and imprimitive (each preserves
+    the blocks {1,2}, {3,4}, ...)."""
+    def arbitrary():
+        return Permutation(rng.sample(range(1, n + 1), n))
+
+    def intransitive(m):
+        return Permutation(rng.sample(range(1, m + 1), m)
+                           + rng.sample(range(m + 1, n + 1), n - m))
+
+    def imprimitive():
+        blocks = rng.sample(range(n // 2), n // 2)
+        images = list(range(1, n + 1))
+        for src, dst in enumerate(blocks):
+            pair = [2 * dst + 1, 2 * dst + 2]
+            rng.shuffle(pair)
+            images[2 * src:2 * src + 2] = pair
+        return Permutation(images)
+
+    yield []
+    for k in (1, 2, 3):
+        yield [arbitrary() for _ in range(k)]
+        m = rng.randint(1, n)
+        yield [intransitive(m) for _ in range(k)]
+        yield [imprimitive() for _ in range(k)]
+
+
+def test_group_order_matches_bfs():
+    rng = random.Random(8)
+    for n in range(1, 8):
+        for _ in range(3):
+            for gens in _random_generating_sets(rng, n):
+                assert group_order(gens) == bfs_group_order(gens), (
+                    n, [g.images for g in gens])
+
+
+def test_group_order_of_s40():
+    gens = [Permutation.transposition(40, i, i + 1) for i in range(1, 40)]
+    assert group_order(gens) == math.factorial(40)
+
+
+def test_group_order_rejects_mixed_sizes():
+    with pytest.raises(ValueError):
+        group_order([Permutation.identity(3), Permutation.identity(4)])
 
 
 def test_order_guard():
@@ -153,6 +239,27 @@ def test_identity_suite_small_quotient_side():
 
 def test_identity_suite_single_chord():
     assert identity_suite(seed=4, n=5, t=1, trials=200).ok
+
+
+def test_identity_suite_exercises_mu(monkeypatch):
+    """Planted fault: a mu whose second slot carries the wrong exponent must
+    fail the suite, so the sparse evaluation really goes through mu."""
+    def flipped_mu(gen, n):
+        f = mu(gen, n)
+        return FStarElement(tuple(
+            ReducedWord(tuple((x, 1) for x, _ in w.letters)) for w in f.components
+        ))
+
+    monkeypatch.setattr(oracle, "mu", flipped_mu)
+    report = identity_suite(seed=1, n=5, t=2, trials=20)
+    assert not report.ok
+    check_id, inputs, expected, got = report.failures[0]
+    assert check_id == "chain"
+    v = dict(part.split("=") for part in inputs.split())
+    i, j, k, x = int(v["i"]), int(v["j"]), int(v["k"]), v["x"]
+    assert expected == f"{min(i, k)}: {x}, {max(i, k)}: {x}"
+    assert f"{j}: {x} {x}" in got
+    assert re.fullmatch(r"\d: [^,]+(, \d: [^,]+)*", got)
 
 
 def test_identity_suite_rejects_bad_parameters():
