@@ -45,6 +45,7 @@ from .graphs import (
     GraphError,
     GraphParseError,
     SpanningTreeData,
+    UnknownLabelError,
     basic_cycles,
     connected_components,
     dual_graph,

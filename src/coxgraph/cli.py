@@ -3,6 +3,8 @@
 Subcommands: analyze, solve, equal, kernel, verify, tsaranov.  Exit codes:
 0 on success (including quotient-only verdicts), 1 when verify finds
 failures or a word uses an unknown label, 2 on usage or parse errors.
+A KeyError other than an unknown label is an internal error and
+propagates.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .embedding import (
     structure_report,
 )
 from .freeprod import FStarElement
-from .graphs import GraphError, parse_graph
+from .graphs import GraphError, UnknownLabelError, parse_graph
 # ORDER_CHECK_MAX_N is re-exported: bench/run.py's verify mirror reads it here.
 from .oracle import ORDER_CHECK_MAX_N, full_suite  # noqa: F401
 from .presentation import AGenerator, tsaranov_presentation
@@ -85,7 +87,7 @@ def run(argv: list[str]) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except KeyError as exc:
+    except UnknownLabelError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 1
     except ValueError as exc:

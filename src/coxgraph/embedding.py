@@ -21,6 +21,7 @@ from .graphs import (
     DisconnectedError,
     Graph,
     SpanningTreeData,
+    UnknownLabelError,
     basic_cycles,
     is_connected,
     spanning_tree,
@@ -46,6 +47,8 @@ def reverse_word(w: EdgeWord) -> EdgeWord:
 # for a chord x, the shared letters (x, 1) and (x, -1); None, None for a
 # tree edge.
 Step = tuple[int, int, Letter | None, Letter | None]
+
+_EMPTY = ReducedWord()  # every empty slot of a phi result shares it
 
 
 class Context:
@@ -108,7 +111,8 @@ def phi(ctx: Context, w: Iterable[str]) -> SemidirectElement:
     a stack.  A letter on edge (a b) swaps entries a and b of both, which
     is the slot action of its transposition; a chord letter x then appends
     x at slot a and x^-1 at slot b, cancelling against the top instead
-    where the top is the inverse letter.
+    where the top is the inverse letter.  Every step keeps ``where`` a
+    permutation and each stack reduced, so the result is built unchecked.
     """
     steps = ctx.steps
     where = list(range(1, ctx.n + 1))
@@ -117,7 +121,7 @@ def phi(ctx: Context, w: Iterable[str]) -> SemidirectElement:
         try:
             a, b, plus, minus = steps[label]
         except KeyError:
-            raise KeyError(f"unknown edge label {label!r}") from None
+            raise UnknownLabelError(label) from None
         where[a], where[b] = where[b], where[a]
         sa, sb = slots[b], slots[a]
         slots[a], slots[b] = sa, sb
@@ -131,8 +135,9 @@ def phi(ctx: Context, w: Iterable[str]) -> SemidirectElement:
             else:
                 sb.append(minus)
     return SemidirectElement(
-        Permutation(where).inverse(),
-        FStarElement(tuple(ReducedWord(tuple(s)) for s in slots)),
+        Permutation._trusted_inverse(where),
+        FStarElement(tuple([ReducedWord._trusted(tuple(s)) if s else _EMPTY
+                            for s in slots])),
     )
 
 

@@ -31,6 +31,13 @@ class DisconnectedError(GraphError):
     """Raised by operations that require a connected graph."""
 
 
+class UnknownLabelError(KeyError):
+    """A word uses a label that is no edge of the graph."""
+
+    def __init__(self, label: str):
+        super().__init__(f"unknown edge label {label!r}")
+
+
 @dataclass(frozen=True)
 class Edge:
     label: str
@@ -92,7 +99,7 @@ class Graph:
         try:
             return self._by_label[label]
         except KeyError:
-            raise KeyError(f"unknown edge label {label!r}") from None
+            raise UnknownLabelError(label) from None
 
     def neighbors(self, v: int) -> tuple[tuple[int, str], ...]:
         """Pairs (neighbor, edge label) in ascending neighbor order."""
@@ -192,9 +199,6 @@ class SpanningTreeData:
     tree_edges: frozenset[str]
     parent: dict[int, tuple[int, str]]  # vertex -> (parent vertex, edge label)
     depth: dict[int, int]
-
-    def contains(self, label: str) -> bool:
-        return label in self.tree_edges
 
 
 def spanning_tree(g: Graph) -> SpanningTreeData:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
 from .embedding import (
@@ -21,7 +22,7 @@ from .embedding import (
     kernel_generator_parts,
     phi,
 )
-from .freeprod import component_exponents
+from .freeprod import FStarElement, ReducedWord, component_exponents
 from .graphs import edge_subgraph, is_connected
 from .perms import Permutation, perm_of_word
 from .presentation import AGenerator, mu, relators
@@ -209,22 +210,39 @@ def _integer_rank(mat: list[list[int]]) -> int:
 
 
 class _SlotWords(dict):
-    """A sparse element of the product of free groups: slot -> nonidentity
-    reduced word.  Products act slot by slot, so only touched slots cost."""
+    """A sparse element of the product of free groups: slot -> nonempty
+    reduced letter tuple.  Products act slot by slot, so only touched slots
+    cost; both factors are reduced, so letters cancel only at the seam."""
+
+    @classmethod
+    def of(cls, f: FStarElement) -> "_SlotWords":
+        return cls(
+            (slot, w.letters) for slot, w in enumerate(f.components, start=1)
+            if w.letters
+        )
 
     def __mul__(self, other: "_SlotWords") -> "_SlotWords":
         out = _SlotWords(self)
-        for slot, w in other.items():
-            prod = out[slot] * w if slot in out else w
-            if prod.is_identity():
-                del out[slot]
+        for slot, b in other.items():
+            a = out.get(slot)
+            if a is None:
+                out[slot] = b
+                continue
+            k, m = len(a), 0
+            while k and m < len(b) and a[k - 1][0] == b[m][0] and a[k - 1][1] == -b[m][1]:
+                k -= 1
+                m += 1
+            if k or m < len(b):
+                out[slot] = a[:k] + b[m:]
             else:
-                out[slot] = prod
+                del out[slot]
         return out
 
     def __str__(self) -> str:
         """The ``FStarElement`` text: ``1: x, 4: x^-1``, or ``1``."""
-        return ", ".join(f"{slot}: {self[slot]}" for slot in sorted(self)) or "1"
+        return ", ".join(
+            f"{slot}: {ReducedWord._trusted(self[slot])}" for slot in sorted(self)
+        ) or "1"
 
 
 def identity_suite(seed: int, n: int, t: int, trials: int) -> OracleReport:
@@ -248,11 +266,7 @@ def identity_suite(seed: int, n: int, t: int, trials: int) -> OracleReport:
     def gen(x: str, i: int, j: int) -> _SlotWords:
         key = (x, i, j)
         if key not in cache:
-            f = mu(AGenerator(x, i, j), n)
-            cache[key] = _SlotWords(
-                (slot, w) for slot, w in enumerate(f.components, start=1)
-                if not w.is_identity()
-            )
+            cache[key] = _SlotWords.of(mu(AGenerator(x, i, j), n))
         return cache[key]
 
     def check(check_id: str, lhs: _SlotWords, rhs: _SlotWords,
@@ -305,7 +319,7 @@ def identity_suite(seed: int, n: int, t: int, trials: int) -> OracleReport:
 
 def random_word(rng: random.Random, labels: Sequence[str],
                 max_len: int = 16) -> tuple[str, ...]:
-    return tuple(rng.choice(labels) for _ in range(rng.randrange(max_len + 1)))
+    return tuple(map(rng.choice, repeat(labels, rng.randrange(max_len + 1))))
 
 
 def parabolic_check(ctx: Context, sub_labels: Iterable[str], samples: int,

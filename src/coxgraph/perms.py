@@ -27,6 +27,15 @@ class Permutation:
         return p
 
     @classmethod
+    def _trusted_inverse(cls, where: Sequence[int]) -> "Permutation":
+        """The permutation whose inverse has the images ``where``, which
+        must already be a permutation; nothing is validated."""
+        images = [0] * len(where)
+        for a, b in enumerate(where, start=1):
+            images[b - 1] = a
+        return cls._trusted(tuple(images))
+
+    @classmethod
     def identity(cls, n: int) -> "Permutation":
         return cls(range(1, n + 1))
 
@@ -57,13 +66,10 @@ class Permutation:
         return compose(self, other)
 
     def inverse(self) -> "Permutation":
-        images = [0] * self.n
-        for a, b in enumerate(self.images, start=1):
-            images[b - 1] = a
-        return Permutation._trusted(tuple(images))
+        return Permutation._trusted_inverse(self.images)
 
     def is_identity(self) -> bool:
-        return all(b == a for a, b in enumerate(self.images, start=1))
+        return self.images == tuple(range(1, len(self.images) + 1))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its smallest element."""
@@ -116,4 +122,4 @@ def perm_of_word(g, word: Iterable[str]) -> Permutation:
     for label in word:
         e = g.edge(label)
         where[e.a - 1], where[e.b - 1] = where[e.b - 1], where[e.a - 1]
-    return Permutation(where).inverse()
+    return Permutation._trusted_inverse(where)

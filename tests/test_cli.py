@@ -1,5 +1,6 @@
 import pytest
 
+from coxgraph import cli
 from coxgraph.cli import run
 from coxgraph.corpus import (
     complete4,
@@ -72,6 +73,23 @@ def test_solve_unknown_label_exits_1(files, capsys):
     code, _, err = invoke(capsys, "solve", files["triangle"], "a q")
     assert code == 1
     assert "unknown edge label" in err
+
+
+def test_equal_unknown_label_exits_1(files, capsys):
+    code, _, err = invoke(capsys, "equal", files["triangle"], "a b", "c zz")
+    assert code == 1
+    assert err == "error: unknown edge label 'zz'\n"
+
+
+def test_internal_key_error_is_not_a_user_error(files, monkeypatch):
+    """Only an unknown label is a user error; any other KeyError is a bug
+    and must surface, not exit 1."""
+    def broken(ctx):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "structure_report", broken)
+    with pytest.raises(KeyError, match="internal"):
+        run(["analyze", files["c6"]])
 
 
 def test_solve_empty_word(files, capsys):

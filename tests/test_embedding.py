@@ -26,6 +26,7 @@ from coxgraph.embedding import (
 )
 from coxgraph.freeprod import (
     FStarElement,
+    ReducedWord,
     SemidirectElement,
     component_exponents,
     sd_inv,
@@ -33,7 +34,7 @@ from coxgraph.freeprod import (
     sd_prod,
     word,
 )
-from coxgraph.graphs import DisconnectedError, Graph, parse_graph
+from coxgraph.graphs import DisconnectedError, Graph, UnknownLabelError, parse_graph
 from coxgraph.perms import Permutation, compose, perm_of_word
 from coxgraph.presentation import AGenerator, mu, relators
 from coxgraph.oracle import ab_rank, random_word
@@ -111,6 +112,17 @@ def test_phi_unknown_label(triangle_ctx):
         phi(triangle_ctx, ("a", "c", "q", "b"))
 
 
+def test_unknown_label_error(triangle_ctx):
+    """phi and Graph.edge raise the one user-error type, a KeyError whose
+    text is unchanged."""
+    for call in (lambda: phi(triangle_ctx, ("a", "q")),
+                 lambda: triangle_ctx.graph.edge("q")):
+        with pytest.raises(UnknownLabelError) as info:
+            call()
+        assert isinstance(info.value, KeyError)
+        assert info.value.args == ("unknown edge label 'q'",)
+
+
 def test_phi_perm_part_matches_word_evaluation(corpus_contexts):
     rng = random.Random(11)
     for ctx in corpus_contexts.values():
@@ -159,6 +171,35 @@ def test_phi_matches_fold_on_random_graphs(data):
     for length in (0, 1, 2, rng.randrange(3, 300)):
         w = tuple(rng.choice(g.labels) for _ in range(length))
         assert phi(ctx, w) == _fold(ctx, w)
+
+
+def _assert_passes_validation(g):
+    """phi builds its result without validation; the public validating
+    constructors must accept every part of it."""
+    assert Permutation(g.perm.images) == g.perm
+    for w in g.f.components:
+        assert ReducedWord(w.letters) == w
+
+
+def test_phi_results_validate_on_corpus(corpus_contexts):
+    rng = random.Random(23)
+    for ctx in corpus_contexts.values():
+        labels = ctx.graph.labels
+        for length in (0, 1, 2, 5, 20, 80, 300, 1000):
+            for _ in range(4):
+                _assert_passes_validation(phi(ctx, random_word(rng, labels, length)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_phi_results_validate_on_random_graphs(data):
+    g = data.draw(random_connected_graphs())
+    if g.n >= 4 and data.draw(st.booleans()):
+        g = _with_k4(g)
+    ctx = build_context(g)
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    for length in (0, 1, 2, rng.randrange(3, 500)):
+        _assert_passes_validation(phi(ctx, random_word(rng, g.labels, length)))
 
 
 def test_phi_consumes_a_generator(sixpts_ctx):
@@ -449,6 +490,24 @@ def test_k4_never_claims_exact_triviality():
         assert is_trivial(ctx, rel).kind is VerdictKind.TRIVIAL_IN_QUOTIENT
 
 
+def test_k4_plus_pendant_edge_is_exact():
+    """The one exception is K4 itself.  With a pendant edge added the graph
+    has five vertices, so it is not the exception and verdicts are exact,
+    even for the word that is only quotient-trivial on K4."""
+    k4 = complete4()
+    ctx = build_context(
+        Graph(5, [(e.label, e.a, e.b) for e in k4.edges] + [("p", 4, 5)])
+    )
+    assert not ctx.is_k4
+    assert structure_report(ctx).word_problem_exact
+    cyc = ctx.cycle_by_chord["d"]
+    ct, et, ft = (tilde(ctx, cyc, x) for x in "cef")
+    inner = et + ft + et
+    assert is_trivial(ctx, ct + inner + ct + inner).kind is VerdictKind.TRIVIAL
+    for rel in relators(ctx.graph, "coxy").relators:
+        assert is_trivial(ctx, rel).kind is VerdictKind.TRIVIAL
+
+
 def test_equal_via_inverse(triangle_ctx):
     assert equal(triangle_ctx, parse_word("a c a"), parse_word("a c a")).is_trivial()
     v = equal(triangle_ctx, parse_word("a"), parse_word("b"))
@@ -527,6 +586,68 @@ def test_embedding_sound_on_random_graphs(data):
         assert img == SemidirectElement(
             Permutation.identity(ctx.n), mu(AGenerator(chord, i, j), ctx.n)
         )
+
+
+# ----------------------------------------------------------- metamorphic
+
+
+def _relator_edits(rng, ctx, w, steps):
+    """Words equal to w in the group: each step inserts a coxy relator, its
+    reverse or a pair u u at a random place, or deletes one occurrence of
+    such a word, and yields the edited word."""
+    pieces = set(relators(ctx.graph, "coxy").relators)
+    pieces |= {tuple(reversed(p)) for p in pieces}
+    lengths = sorted({len(p) for p in pieces})
+    ordered = sorted(pieces)
+    labels = ctx.graph.labels
+    w = list(w)
+    for _ in range(steps):
+        spots = [
+            (i, k) for k in lengths for i in range(len(w) - k + 1)
+            if tuple(w[i:i + k]) in pieces
+        ]
+        if spots and rng.random() < 0.4:
+            i, k = rng.choice(spots)
+            del w[i:i + k]
+        else:
+            if rng.random() < 0.3:
+                u = rng.choice(labels)
+                piece = (u, u)
+            else:
+                piece = rng.choice(ordered)
+            i = rng.randrange(len(w) + 1)
+            w[i:i] = piece
+        yield tuple(w)
+
+
+def _check_relator_edits(ctx, rng, rounds, steps=8):
+    """Every edited word equals the original: exactly, or in the quotient
+    on K4.  One extra letter flips the permutation's sign, so that pair
+    must come out unequal."""
+    expected = VerdictKind.TRIVIAL_IN_QUOTIENT if ctx.is_k4 else VerdictKind.TRIVIAL
+    labels = ctx.graph.labels
+    for _ in range(rounds):
+        w = random_word(rng, labels, 30)
+        for v in _relator_edits(rng, ctx, w, steps):
+            assert equal(ctx, w, v).kind is expected, (w, v)
+        extra = v + (rng.choice(labels),)
+        assert equal(ctx, w, extra).kind is VerdictKind.NONTRIVIAL, (w, extra)
+
+
+def test_relator_edits_keep_words_equal_on_corpus(corpus_contexts):
+    rng = random.Random(41)
+    for ctx in corpus_contexts.values():
+        _check_relator_edits(ctx, rng, 15)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_relator_edits_keep_words_equal_on_random_graphs(data):
+    g = data.draw(random_connected_graphs())
+    if g.n >= 4 and data.draw(st.booleans()):
+        g = _with_k4(g)
+    ctx = build_context(g)
+    _check_relator_edits(ctx, random.Random(data.draw(st.integers(0, 2**32))), 3)
 
 
 # ------------------------------------------------------------- parabolic

@@ -13,6 +13,7 @@ from coxgraph.freeprod import (
     SemidirectElement,
     component_exponents,
     fstar_mul,
+    reduce,
     sn_act_f,
 )
 from coxgraph.graphs import edge_subgraph, parse_graph
@@ -23,9 +24,10 @@ from coxgraph.oracle import (
     group_order,
     identity_suite,
     parabolic_check,
+    random_word,
 )
 from coxgraph.perms import Permutation, compose
-from coxgraph.presentation import mu, relators
+from coxgraph.presentation import AGenerator, mu, relators
 from reference import bfs_group_order
 
 
@@ -262,6 +264,32 @@ def test_identity_suite_exercises_mu(monkeypatch):
     assert re.fullmatch(r"\d: [^,]+(, \d: [^,]+)*", got)
 
 
+def test_slot_words_render_like_fstar():
+    f = mu(AGenerator("x", 1, 4), 5)
+    assert str(oracle._SlotWords.of(f)) == str(f) == "1: x, 4: x^-1"
+    assert str(oracle._SlotWords()) == "1"
+
+
+def test_slot_words_product_matches_fstar_mul():
+    """The suite's own slotwise product agrees with freeprod's, cancelling
+    whole slots away too."""
+    rng = random.Random(12)
+
+    def element(n):
+        return FStarElement(tuple(
+            reduce((rng.choice("xy"), rng.choice((1, -1)))
+                   for _ in range(rng.randrange(4)))
+            for _ in range(n)
+        ))
+
+    sparse = oracle._SlotWords.of
+    for _ in range(2000):
+        p, q = element(4), element(4)
+        if rng.random() < 0.3:
+            q = FStarElement(tuple(w.inverse() for w in p.components))
+        assert sparse(p) * sparse(q) == sparse(fstar_mul(p, q))
+
+
 def test_identity_suite_rejects_bad_parameters():
     with pytest.raises(ValueError):
         identity_suite(seed=1, n=3, t=1, trials=10)
@@ -270,6 +298,20 @@ def test_identity_suite_rejects_bad_parameters():
 
 
 # -------------------------------------------------------------- parabolic
+
+
+def test_random_word_stream_is_unchanged():
+    """Seeded words are part of every parabolic report: the generator must
+    draw exactly what the plain loop over ``rng.choice`` draws."""
+    labels = ["a", "b", "c", "x", "y"]
+    for seed in range(300):
+        ours, plain = random.Random(seed), random.Random(seed)
+        for max_len in (0, 1, 2, 16, 40):
+            expected = tuple(
+                plain.choice(labels) for _ in range(plain.randrange(max_len + 1))
+            )
+            assert random_word(ours, labels, max_len) == expected
+        assert ours.random() == plain.random()
 
 
 def test_parabolic_spanning_tree(corpus_contexts):
