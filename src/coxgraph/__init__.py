@@ -57,6 +57,7 @@ from .graphs import (
 from .perms import Permutation, compose, perm_of_word
 from .presentation import (
     AGenerator,
+    ParameterError,
     RelatorSet,
     act_a,
     mu,

@@ -2,9 +2,9 @@
 
 Subcommands: analyze, solve, equal, kernel, verify, tsaranov.  Exit codes:
 0 on success (including quotient-only verdicts), 1 when verify finds
-failures or a word uses an unknown label, 2 on usage or parse errors.
-A KeyError other than an unknown label is an internal error and
-propagates.
+failures or a word uses an unknown label, 2 on usage errors, bad
+parameters, unreadable or invalid graph files.  Any other KeyError or
+ValueError is an internal error and propagates.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .freeprod import FStarElement
 from .graphs import GraphError, UnknownLabelError, parse_graph
 # ORDER_CHECK_MAX_N is re-exported: bench/run.py's verify mirror reads it here.
 from .oracle import ORDER_CHECK_MAX_N, full_suite  # noqa: F401
-from .presentation import AGenerator, tsaranov_presentation
+from .presentation import AGenerator, ParameterError, tsaranov_presentation
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -81,18 +81,12 @@ def run(argv: list[str]) -> int:
         return 2 if exc.code else 0
     try:
         return _dispatch(args)
-    except GraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (GraphError, ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except UnknownLabelError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 def main() -> None:
@@ -100,7 +94,10 @@ def main() -> None:
 
 
 def _load_context(path: str) -> Context:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:  # a ValueError, but the file's fault
+        raise GraphError(str(exc)) from exc
     return build_context(parse_graph(text))
 
 

@@ -65,6 +65,7 @@ class Context:
         self.chords = tuple(c.chord for c in cycles)
         self.n = graph.n
         self.t = len(cycles)
+        self.home = list(range(1, graph.n + 1))  # where of the identity
         self.is_k4 = graph.n == 4 and len(graph.edges) == 6
         self._images: dict[str, SemidirectElement] = {}
         self.steps: dict[str, Step] = {}
@@ -102,20 +103,19 @@ def build_context(g: Graph) -> Context:
     return Context(g, t0, basic_cycles(g, t0))
 
 
-def phi(ctx: Context, w: Iterable[str]) -> SemidirectElement:
-    """Evaluate an edge word in the semidirect product, first letter first.
+def _run(ctx: Context,
+         w: Iterable[str]) -> tuple[list[int], list[list[Letter]]]:
+    """The evaluator state after the word: ``where``, the inverse image list
+    of the permutation, and ``slots``, each slot's reduced word as a stack.
 
-    One pass over mutable state, equal to the ``sd_prod`` fold of the
-    letter images but O(1) per letter: ``where`` is the inverse image list
-    of the permutation so far, ``slots`` holds each slot's reduced word as
-    a stack.  A letter on edge (a b) swaps entries a and b of both, which
-    is the slot action of its transposition; a chord letter x then appends
-    x at slot a and x^-1 at slot b, cancelling against the top instead
-    where the top is the inverse letter.  Every step keeps ``where`` a
-    permutation and each stack reduced, so the result is built unchecked.
+    A letter on edge (a b) swaps entries a and b of both, which is the slot
+    action of its transposition; a chord letter x then appends x at slot a
+    and x^-1 at slot b, cancelling against the top instead where the top is
+    the inverse letter.  Every step keeps ``where`` a permutation and each
+    stack reduced.  Unknown labels raise in word order.
     """
     steps = ctx.steps
-    where = list(range(1, ctx.n + 1))
+    where = ctx.home.copy()
     slots: list[list[Letter]] = [[] for _ in range(ctx.n)]
     for label in w:
         try:
@@ -134,11 +134,29 @@ def phi(ctx: Context, w: Iterable[str]) -> SemidirectElement:
                 sb.pop()
             else:
                 sb.append(minus)
+    return where, slots
+
+
+def phi(ctx: Context, w: Iterable[str]) -> SemidirectElement:
+    """Evaluate an edge word in the semidirect product, first letter first.
+
+    One pass over mutable state (``_run``), equal to the ``sd_prod`` fold of
+    the letter images but O(1) per letter; that state is a permutation and
+    reduced slot words, so the result is built unchecked.
+    """
+    where, slots = _run(ctx, w)
     return SemidirectElement(
         Permutation._trusted_inverse(where),
         FStarElement(tuple([ReducedWord._trusted(tuple(s)) if s else _EMPTY
                             for s in slots])),
     )
+
+
+def trivial_image(ctx: Context, w: Iterable[str]) -> bool:
+    """Whether ``phi`` of the word is the identity, decided from the
+    evaluator state without building the element."""
+    where, slots = _run(ctx, w)
+    return where == ctx.home and not any(slots)
 
 
 def tilde(ctx: Context, cyc: BasicCycle, label: str) -> EdgeWord:

@@ -85,10 +85,12 @@ class Graph:
         self.n = n
         self.edges: tuple[Edge, ...] = tuple(sorted(normalized, key=lambda e: e.label))
         self._by_label = {e.label: e for e in self.edges}
-        adj: dict[int, list[tuple[int, str]]] = {v: [] for v in range(1, n + 1)}
+        # Only vertices on an edge get an entry, so a huge n with few edges
+        # costs nothing before the connectivity check rejects it.
+        adj: dict[int, list[tuple[int, str]]] = {}
         for e in self.edges:
-            adj[e.a].append((e.b, e.label))
-            adj[e.b].append((e.a, e.label))
+            adj.setdefault(e.a, []).append((e.b, e.label))
+            adj.setdefault(e.b, []).append((e.a, e.label))
         self._adj = {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
 
     @property
@@ -103,7 +105,7 @@ class Graph:
 
     def neighbors(self, v: int) -> tuple[tuple[int, str], ...]:
         """Pairs (neighbor, edge label) in ascending neighbor order."""
-        return self._adj[v]
+        return self._adj.get(v, ())
 
     def vertices(self) -> range:
         return range(1, self.n + 1)
@@ -189,6 +191,10 @@ def connected_components(g: Graph) -> list[tuple[int, ...]]:
 
 
 def is_connected(g: Graph) -> bool:
+    # A vertex on no edge is a component of its own; counting the vertices
+    # on an edge settles that without walking all n of them.
+    if g.n > 1 and len(g._adj) < g.n:
+        return False
     return len(connected_components(g)) == 1
 
 

@@ -180,6 +180,10 @@ class TsaranovReport:
     extra_relators: str
 
 
+class ParameterError(ValueError):
+    """Parameters outside the range a construction is defined for."""
+
+
 def tsaranov_presentation(a: int, b: int, t: int) -> TsaranovReport:
     """Defining data for the generalized Coxeter group cut out of a complete
     bipartite graph minus t disjoint edges.
@@ -190,7 +194,9 @@ def tsaranov_presentation(a: int, b: int, t: int) -> TsaranovReport:
     relator family x_i^2 x_j^-2 over the chord alphabet.
     """
     if t < 0 or a < t or b < t:
-        raise ValueError(f"need a >= t >= 0 and b >= t, got a={a} b={b} t={t}")
+        raise ParameterError(
+            f"need a >= t >= 0 and b >= t, got a={a} b={b} t={t}"
+        )
     g = tsaranov_graph(a, b, t)
     n = a + b + 2 - t
     assert g.n == n

@@ -92,6 +92,17 @@ def test_internal_key_error_is_not_a_user_error(files, monkeypatch):
         run(["analyze", files["c6"]])
 
 
+def test_internal_value_error_is_not_a_user_error(files, monkeypatch):
+    """A ValueError that is no graph, parameter or file error is a bug and
+    must surface, not exit 2."""
+    def broken(ctx):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(cli, "structure_report", broken)
+    with pytest.raises(ValueError, match="internal"):
+        run(["analyze", files["c6"]])
+
+
 def test_solve_empty_word(files, capsys):
     code, out, _ = invoke(capsys, "solve", files["triangle"], "")
     assert code == 0
@@ -280,6 +291,17 @@ def test_parse_error_exits_2(tmp_path, capsys):
     code, _, err = invoke(capsys, "analyze", str(bad))
     assert code == 2
     assert "duplicate pair" in err
+
+
+def test_non_utf8_file_exits_2(tmp_path, capsys):
+    bad = tmp_path / "latin1.graph"
+    bad.write_bytes(b"1 2 a\n\xe9 3 b\n")
+    code, out, err = invoke(capsys, "analyze", str(bad))
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: 'utf-8' codec can't decode byte 0xe9 in position 6: "
+        "invalid continuation byte\n"
+    )
 
 
 def test_disconnected_exits_2(tmp_path, capsys):

@@ -20,9 +20,11 @@ from coxgraph.embedding import (
     phi,
     psi_gen,
     psi_perm,
+    reverse_word,
     structure_report,
     tilde,
     tilde_word,
+    trivial_image,
 )
 from coxgraph.freeprod import (
     FStarElement,
@@ -200,6 +202,48 @@ def test_phi_results_validate_on_random_graphs(data):
     rng = random.Random(data.draw(st.integers(0, 2**32)))
     for length in (0, 1, 2, rng.randrange(3, 500)):
         _assert_passes_validation(phi(ctx, random_word(rng, g.labels, length)))
+
+
+def _words(rng, labels):
+    """The empty word, every letter, relators, and random words."""
+    words = [()] + [(x,) for x in labels] + [(x, x) for x in labels]
+    words += [tuple(random_word(rng, labels, n)) for n in (3, 8, 30, 120)
+              for _ in range(6)]
+    return words
+
+
+def test_trivial_image_matches_phi_on_corpus(corpus_contexts):
+    rng = random.Random(29)
+    for name, ctx in corpus_contexts.items():
+        rels = relators(ctx.graph, "coxy").relators
+        for w in _words(rng, ctx.graph.labels) + list(rels):
+            assert trivial_image(ctx, w) == phi(ctx, w).is_identity(), (name, w)
+        assert all(trivial_image(ctx, rel) for rel in rels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_trivial_image_matches_phi_on_random_graphs(data):
+    g = data.draw(random_connected_graphs())
+    if g.n >= 4 and data.draw(st.booleans()):
+        g = _with_k4(g)
+    ctx = build_context(g)
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    for w in _words(rng, g.labels):
+        assert trivial_image(ctx, w) == phi(ctx, w).is_identity()
+        assert trivial_image(ctx, w + reverse_word(w))
+
+
+def test_trivial_image_unknown_label(triangle_ctx):
+    """Unknown labels raise like phi, for the first unknown letter."""
+    for w, first in ((("q",), "q"), (("a", "c", "q", "b", "zz"), "q"),
+                     (("a", "a", "zz", "q"), "zz")):
+        with pytest.raises(UnknownLabelError) as info:
+            trivial_image(triangle_ctx, w)
+        assert info.value.args == (f"unknown edge label {first!r}",)
+        with pytest.raises(UnknownLabelError) as info_phi:
+            phi(triangle_ctx, w)
+        assert info_phi.value.args == info.value.args
 
 
 def test_phi_consumes_a_generator(sixpts_ctx):

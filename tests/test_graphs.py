@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from coxgraph.corpus import (
     sixpts_graph,
     y_graph,
 )
+from coxgraph.embedding import build_context
 from coxgraph.graphs import (
     DisconnectedError,
     Graph,
@@ -21,6 +23,7 @@ from coxgraph.graphs import (
     edge_subgraph,
     graph_text,
     has_forbidden_fork,
+    is_connected,
     parse_graph,
     spanning_tree,
     tree_path,
@@ -169,6 +172,24 @@ def test_components_two_pieces():
 
 def test_components_k4():
     assert len(connected_components(complete4())) == 1
+
+
+def test_huge_vertex_id_allocates_nothing_per_vertex():
+    """A graph file naming vertex 10^6 on one edge is rejected as
+    disconnected without memory for every vertex."""
+    tracemalloc.start()
+    try:
+        g = parse_graph("1 1000000 a")
+        connected = is_connected(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not connected
+    assert peak < 2_000_000
+    assert g.neighbors(500) == ()
+    assert g.neighbors(1) == ((1000000, "a"),)
+    with pytest.raises(DisconnectedError):
+        build_context(Graph(10**6, [("a", 1, 2), ("b", 2, 3)]))
 
 
 def test_isolated_vertex_disconnects():

@@ -72,6 +72,31 @@ def test_mutated_convention_fails():
     assert failures
 
 
+def _rewired(graph, label, a, b):
+    """A fresh context whose evaluator moves edge ``label`` across vertices
+    a and b instead of its own endpoints: a planted evaluation fault."""
+    ctx = build_context(graph)
+    _, _, plus, minus = ctx.steps[label]
+    ctx.steps[label] = (a - 1, b - 1, plus, minus)
+    return ctx
+
+
+def test_relator_failure_text():
+    """Planted fault: a rewired edge kills relators, and each failing one is
+    rendered with its image."""
+    square = parse_graph("1 2 a\n2 3 b\n3 4 c\n1 4 x\n")
+    assert check_relators(_rewired(square, "a", 1, 3)).render() == (
+        "FAIL relators (21 checks)\n"
+        "  semidirect-image: a c a c: expected identity, got (1 3 4) | 1"
+    )
+    triangle = parse_graph("1 2 a\n2 3 b\n1 3 x\n")
+    assert check_relators(_rewired(triangle, "x", 1, 2)).render() == (
+        "FAIL relators (13 checks)\n"
+        "  semidirect-image: a x a x a x: expected identity, "
+        "got () | 1: x x x, 2: x^-1 x^-1 x^-1"
+    )
+
+
 def test_report_rendering():
     report = check_relators(build_context(path_graph(3)))
     text = report.render()
@@ -290,6 +315,40 @@ def test_slot_words_product_matches_fstar_mul():
         assert sparse(p) * sparse(q) == sparse(fstar_mul(p, q))
 
 
+def test_nary_product_matches_chained_products():
+    """``_prod`` of k factors equals the chain of binary products and the
+    ``fstar_mul`` fold, whole slots cancelling away included, and leaves
+    every factor as it was."""
+    rng = random.Random(31)
+
+    def element():
+        return FStarElement(tuple(
+            reduce((rng.choice("xy"), rng.choice((1, -1)))
+                   for _ in range(rng.randrange(4)))
+            for _ in range(5)
+        ))
+
+    sparse = oracle._SlotWords.of
+    cancelled = 0
+    for _ in range(1500):
+        dense = [element() for _ in range(rng.randrange(1, 6))]
+        if rng.random() < 0.4:
+            at = rng.randrange(1, len(dense) + 1)
+            undo = tuple(w.inverse() for w in dense[at - 1].components)
+            dense.insert(at, FStarElement(undo))
+        factors = [sparse(f) for f in dense]
+        before = [dict(f) for f in factors]
+        chained, fold = factors[0], dense[0]
+        for f, g in zip(factors[1:], dense[1:]):
+            chained, fold = chained * f, fstar_mul(fold, g)
+        product = oracle._prod(*factors)
+        assert product == chained == sparse(fold)
+        assert [dict(f) for f in factors] == before
+        assert product is not factors[0]
+        cancelled += len(product) < max(len(f) for f in factors)
+    assert cancelled > 100
+
+
 def test_identity_suite_rejects_bad_parameters():
     with pytest.raises(ValueError):
         identity_suite(seed=1, n=3, t=1, trials=10)
@@ -312,6 +371,28 @@ def test_random_word_stream_is_unchanged():
             )
             assert random_word(ours, labels, max_len) == expected
         assert ours.random() == plain.random()
+
+
+def test_random_word_stream_rejection_edges():
+    """Label counts 1, 2, 4 and 7: one bit with rejection, powers of two
+    with none, and the worst case just below a power of two."""
+    for count in (1, 2, 4, 7):
+        labels = [f"e{k}" for k in range(count)]
+        for seed in range(200):
+            ours, plain = random.Random(seed), random.Random(seed)
+            for max_len in (0, 1, 5, 16, 60):
+                expected = tuple(
+                    plain.choice(labels)
+                    for _ in range(plain.randrange(max_len + 1))
+                )
+                assert random_word(ours, labels, max_len) == expected
+            assert ours.getrandbits(64) == plain.getrandbits(64)
+
+
+def test_random_word_without_labels():
+    assert random_word(random.Random(1), [], 0) == ()
+    with pytest.raises(IndexError):
+        random_word(random.Random(1), [], 5)
 
 
 def test_parabolic_spanning_tree(corpus_contexts):
@@ -342,6 +423,30 @@ def test_parabolic_inside_k4(corpus_contexts):
     ctx = corpus_contexts["k4"]
     report = parabolic_check(ctx, ["a", "b", "d"], 300, 5)
     assert report.ok
+
+
+def test_parabolic_failure_text():
+    """Planted fault: the host moves edge a across vertices disjoint from
+    b's, so a and b commute there.  Words trivial in the subgraph come out
+    nontrivial in the host and vice versa; on the complete four-vertex
+    host a trivial image reads as the quotient-level verdict."""
+    words = ("b b b b a b a a a b b b b b a a", "a b a b a b",
+             "a b b a a b a b b b")
+    six = parabolic_check(_rewired(sixpts_graph(), "a", 1, 4), ["a", "b"], 10, 17)
+    assert six.render() == "\n".join([
+        "FAIL parabolic(a,b,seed=17) (10 checks)",
+        f"  verdict-agreement: {words[0]}: expected nontrivial, got trivial",
+        f"  verdict-agreement: {words[1]}: expected trivial, got nontrivial",
+        f"  verdict-agreement: {words[2]}: expected nontrivial, got trivial",
+    ])
+    k4 = parse_graph("1 2 a\n1 3 b\n1 4 c\n2 3 d\n2 4 e\n3 4 f\n")
+    host = parabolic_check(_rewired(k4, "a", 2, 4), ["a", "b"], 10, 17)
+    assert host.render() == "\n".join([
+        "FAIL parabolic(a,b,seed=17) (10 checks)",
+        f"  verdict-agreement: {words[0]}: expected nontrivial, got quotient",
+        f"  verdict-agreement: {words[1]}: expected trivial, got nontrivial",
+        f"  verdict-agreement: {words[2]}: expected nontrivial, got quotient",
+    ])
 
 
 def test_parabolic_rejects_disconnected(corpus_contexts):

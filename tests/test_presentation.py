@@ -11,6 +11,7 @@ from coxgraph.graphs import cycle_rank, spanning_tree
 from coxgraph.perms import Permutation
 from coxgraph.presentation import (
     AGenerator,
+    ParameterError,
     mu,
     mu_word,
     act_a,
@@ -210,6 +211,12 @@ def test_tsaranov_rejects_bad_parameters():
         tsaranov_presentation(1, 3, 2)
     with pytest.raises(ValueError):
         tsaranov_presentation(3, 1, 2)
+
+
+def test_tsaranov_bad_parameters_raise_parameter_error():
+    for a, b, t in ((1, 3, 2), (3, 1, 2), (2, 2, -1)):
+        with pytest.raises(ParameterError, match=f"got a={a} b={b} t={t}"):
+            tsaranov_presentation(a, b, t)
 
 
 def test_tsaranov_chord_count_matches_t():
