@@ -52,7 +52,7 @@ from .graphs import (
     has_forbidden_fork,
     parse_graph,
     spanning_tree,
-    tree_path,
+    tree_path_labels,
 )
 from .perms import Permutation, compose, perm_of_word
 from .presentation import (

@@ -22,6 +22,8 @@ from .embedding import (
     is_trivial,
     parse_word,
     phi,
+    psi_gen,
+    psi_perm,
     structure_report,
 )
 from .freeprod import FStarElement
@@ -29,6 +31,17 @@ from .graphs import GraphError, UnknownLabelError, parse_graph
 # ORDER_CHECK_MAX_N is re-exported: bench/run.py's verify mirror reads it here.
 from .oracle import ORDER_CHECK_MAX_N, full_suite  # noqa: F401
 from .presentation import AGenerator, ParameterError, tsaranov_presentation
+
+
+def _positive_int(text: str) -> int:
+    """An argparse type: an int of at least 1, failing with int's own text."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -39,34 +52,37 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_: str) -> argparse.ArgumentParser:
+    def add(name: str, help_: str, cmd) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
         p.add_argument("--porcelain", action="store_true",
                        help="machine-readable key=value output")
+        p.set_defaults(cmd=cmd)
         return p
 
-    p = add("analyze", "structural report for a graph file")
+    p = add("analyze", "structural report for a graph file", _cmd_analyze)
     p.add_argument("file")
 
-    p = add("solve", "decide whether a word is trivial")
+    p = add("solve", "decide whether a word is trivial", _cmd_solve)
     p.add_argument("file")
     p.add_argument("word")
 
-    p = add("equal", "decide whether two words are equal")
+    p = add("equal", "decide whether two words are equal", _cmd_equal)
     p.add_argument("file")
     p.add_argument("word1")
     p.add_argument("word2")
 
-    p = add("kernel", "test membership in the kernel of the symmetric image")
+    p = add("kernel", "test membership in the kernel of the symmetric image",
+            _cmd_kernel)
     p.add_argument("file")
     p.add_argument("word")
 
-    p = add("verify", "run the oracle suite on a graph file")
+    p = add("verify", "run the oracle suite on a graph file", _cmd_verify)
     p.add_argument("file")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_positive_int, default=200)
 
-    p = add("tsaranov", "report the generalized Coxeter data for parameters A B T")
+    p = add("tsaranov", "report the generalized Coxeter data for parameters A B T",
+            _cmd_tsaranov)
     p.add_argument("a", type=int)
     p.add_argument("b", type=int)
     p.add_argument("t", type=int)
@@ -80,7 +96,7 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        return _dispatch(args)
+        return args.cmd(args)
     except (GraphError, ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -99,22 +115,6 @@ def _load_context(path: str) -> Context:
     except UnicodeDecodeError as exc:  # a ValueError, but the file's fault
         raise GraphError(str(exc)) from exc
     return build_context(parse_graph(text))
-
-
-def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "analyze":
-        return _cmd_analyze(args)
-    if args.command == "solve":
-        return _cmd_solve(args)
-    if args.command == "equal":
-        return _cmd_equal(args)
-    if args.command == "kernel":
-        return _cmd_kernel(args)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command == "tsaranov":
-        return _cmd_tsaranov(args)
-    raise AssertionError(args.command)
 
 
 def _classification_text(rep) -> str:
@@ -184,8 +184,6 @@ def _equivalent_word(ctx: Context, witness) -> tuple[str, ...] | None:
     """An edge word equal to the witness, when one is cheaply available:
     the permutation part is realized over the tree, a bare-generator free
     part over its basic cycle."""
-    from .embedding import psi_gen, psi_perm
-
     if witness.f.is_identity():
         return psi_perm(ctx, witness.perm)
     gen = _single_generator(witness.f)

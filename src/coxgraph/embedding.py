@@ -140,7 +140,7 @@ def _run(ctx: Context,
 def phi(ctx: Context, w: Iterable[str]) -> SemidirectElement:
     """Evaluate an edge word in the semidirect product, first letter first.
 
-    One pass over mutable state (``_run``), equal to the ``sd_prod`` fold of
+    One pass over mutable state (``_run``), equal to the ``sd_mul`` fold of
     the letter images but O(1) per letter; that state is a permutation and
     reduced slot words, so the result is built unchecked.
     """
@@ -246,15 +246,10 @@ def psi_perm(ctx: Context, s: Permutation) -> EdgeWord:
         raise ValueError(f"size mismatch: {s.n} vs {ctx.n}")
     out: list[str] = []
     for cyc in s.cycles():
-        anchor = cyc[0]
         for other in cyc[1:]:
-            out.extend(_transposition_word(ctx, anchor, other))
+            path = tree_path_labels(ctx.tree, cyc[0], other)
+            out += path + path[-2::-1]
     return tuple(out)
-
-
-def _transposition_word(ctx: Context, x: int, y: int) -> EdgeWord:
-    path = tree_path_labels(ctx.tree, x, y)
-    return path[:-1] + (path[-1],) + tuple(reversed(path[:-1]))
 
 
 def psi_gen(ctx: Context, gen: AGenerator) -> EdgeWord:

@@ -129,13 +129,6 @@ def fstar_inv(p: FStarElement) -> FStarElement:
     return FStarElement(tuple(w.inverse() for w in p.components))
 
 
-def fstar_prod(n: int, factors: Iterable[FStarElement]) -> FStarElement:
-    out = FStarElement.identity(n)
-    for f in factors:
-        out = fstar_mul(out, f)
-    return out
-
-
 @dataclass(frozen=True)
 class AbVector:
     """Total exponent sums per chord label, summed over all slots."""
@@ -144,9 +137,6 @@ class AbVector:
 
     def is_zero(self) -> bool:
         return not self.counts
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(self.counts)
 
 
 def ab(p: FStarElement) -> AbVector:
@@ -233,10 +223,3 @@ def sd_mul(g: SemidirectElement, h: SemidirectElement) -> SemidirectElement:
 def sd_inv(g: SemidirectElement) -> SemidirectElement:
     pinv = g.perm.inverse()
     return SemidirectElement(pinv, sn_act_f(pinv, fstar_inv(g.f)))
-
-
-def sd_prod(n: int, factors: Iterable[SemidirectElement]) -> SemidirectElement:
-    out = SemidirectElement.identity(n)
-    for f in factors:
-        out = sd_mul(out, f)
-    return out

@@ -10,13 +10,17 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 LABEL_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 
 class GraphError(ValueError):
-    """A structurally invalid graph (loops, duplicate pairs/labels, bad vertices)."""
+    """A structurally invalid graph; ``row`` indexes the failing edge row, if any."""
+
+    def __init__(self, reason: str, row: int | None = None):
+        super().__init__(reason if row is None else f"row {row}: {reason}")
+        self.reason, self.row = reason, row
 
 
 class GraphParseError(GraphError):
@@ -44,16 +48,6 @@ class Edge:
     a: int  # smaller endpoint
     b: int  # larger endpoint
 
-    def touches(self, v: int) -> bool:
-        return v == self.a or v == self.b
-
-    def other(self, v: int) -> int:
-        if v == self.a:
-            return self.b
-        if v == self.b:
-            return self.a
-        raise ValueError(f"vertex {v} not on edge {self.label}")
-
     def shares_vertex(self, e: "Edge") -> bool:
         return bool({self.a, self.b} & {e.a, e.b})
 
@@ -67,18 +61,20 @@ class Graph:
         normalized = []
         seen_labels: set[str] = set()
         seen_pairs: set[tuple[int, int]] = set()
-        for label, a, b in edges:
+        for row, (label, a, b) in enumerate(edges):
+            if a < 1 or b < 1:
+                raise GraphError(f"vertices must be positive, got {a} {b}", row)
             if not LABEL_RE.match(label):
-                raise GraphError(f"bad edge label {label!r}")
-            if a < 1 or b < 1 or a > n or b > n:
-                raise GraphError(f"edge {label}: vertex out of range 1..{n}")
+                raise GraphError(f"bad label {label!r}", row)
+            if a > n or b > n:
+                raise GraphError(f"edge {label}: vertex out of range 1..{n}", row)
             if a == b:
-                raise GraphError(f"edge {label}: loop at vertex {a}")
+                raise GraphError(f"edge {label}: loop at vertex {a}", row)
             lo, hi = min(a, b), max(a, b)
             if (lo, hi) in seen_pairs:
-                raise GraphError(f"edge {label}: duplicate pair {{{lo},{hi}}}")
+                raise GraphError(f"edge {label}: duplicate pair {{{lo},{hi}}}", row)
             if label in seen_labels:
-                raise GraphError(f"duplicate label {label}")
+                raise GraphError(f"duplicate label {label}", row)
             seen_labels.add(label)
             seen_pairs.add((lo, hi))
             normalized.append(Edge(label, lo, hi))
@@ -126,43 +122,37 @@ def parse_graph(text: str) -> Graph:
 
     Each non-empty, non-comment line reads ``A B LABEL`` with positive
     integer endpoints; ``#`` starts a comment.  The vertex count is the
-    largest endpoint mentioned.
+    largest endpoint mentioned.  ``Graph`` validates the rows read before
+    the first line that does not parse, so an earlier invalid row wins.
     """
     rows: list[tuple[str, int, int]] = []
-    seen_labels: set[str] = set()
-    seen_pairs: set[tuple[int, int]] = set()
+    linenos: list[int] = []
+    error = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
         if len(parts) != 3:
-            raise GraphParseError(f"expected 'A B LABEL', got {line!r}", lineno)
-        sa, sb, label = parts
+            error = GraphParseError(f"expected 'A B LABEL', got {line!r}", lineno)
+            break
         try:
-            a, b = int(sa), int(sb)
+            rows.append((parts[2], int(parts[0]), int(parts[1])))
         except ValueError:
-            raise GraphParseError(f"bad vertex in {line!r}", lineno) from None
-        if a < 1 or b < 1:
-            raise GraphParseError(f"vertices must be positive, got {a} {b}", lineno)
-        if not LABEL_RE.match(label):
-            raise GraphParseError(f"bad label {label!r}", lineno)
-        if a == b:
-            raise GraphParseError(f"edge {label}: loop at vertex {a}", lineno)
-        pair = (min(a, b), max(a, b))
-        if pair in seen_pairs:
-            raise GraphParseError(
-                f"edge {label}: duplicate pair {{{pair[0]},{pair[1]}}}", lineno
-            )
-        if label in seen_labels:
-            raise GraphParseError(f"duplicate label {label}", lineno)
-        seen_labels.add(label)
-        seen_pairs.add(pair)
-        rows.append((label, a, b))
+            error = GraphParseError(f"bad vertex in {line!r}", lineno)
+            break
+        linenos.append(lineno)
+    # At least one vertex, so that a non-positive endpoint fails on its row.
+    n = max([1] + [max(a, b) for _, a, b in rows])
+    try:
+        g = Graph(n, rows)
+    except GraphError as exc:
+        raise GraphParseError(exc.reason, linenos[exc.row]) from None
+    if error is not None:
+        raise error
     if not rows:
         raise GraphParseError("no edges", 1)
-    n = max(max(a, b) for _, a, b in rows)
-    return Graph(n, rows)
+    return g
 
 
 def graph_text(g: Graph) -> str:
@@ -246,21 +236,12 @@ def spanning_tree(g: Graph) -> SpanningTreeData:
     return SpanningTreeData(frozenset(e.label for e in chosen), parent, depth)
 
 
-def tree_path(t0: SpanningTreeData, a: int, b: int) -> list[tuple[str, int]]:
-    """The unique tree path from a to b as (edge label, direction) pairs.
-
-    Direction is +1 when the edge is traversed from its stored smaller
-    endpoint to the larger one, -1 otherwise.
-    """
-    verts = tree_path_vertices(t0, a, b)
-    return [
-        (label, +1 if u < v else -1)
-        for u, v, label in _path_edges(t0, verts)
-    ]
-
-
 def tree_path_labels(t0: SpanningTreeData, a: int, b: int) -> tuple[str, ...]:
-    return tuple(label for label, _ in tree_path(t0, a, b))
+    """Edge labels along the unique tree path from a to b; each step is the
+    parent edge of its deeper endpoint."""
+    verts = tree_path_vertices(t0, a, b)
+    deeper = t0.depth.__getitem__
+    return tuple(t0.parent[max(u, v, key=deeper)][1] for u, v in zip(verts, verts[1:]))
 
 
 def tree_path_vertices(t0: SpanningTreeData, a: int, b: int) -> list[int]:
@@ -279,14 +260,6 @@ def tree_path_vertices(t0: SpanningTreeData, a: int, b: int) -> list[int]:
         up_a.append(x)
         up_b.append(y)
     return up_a + up_b[-2::-1]
-
-
-def _path_edges(t0: SpanningTreeData, verts: Sequence[int]):
-    for u, v in zip(verts, verts[1:]):
-        if u in t0.parent and t0.parent[u][0] == v:
-            yield u, v, t0.parent[u][1]
-        else:
-            yield u, v, t0.parent[v][1]
 
 
 @dataclass(frozen=True)

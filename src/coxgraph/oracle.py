@@ -370,9 +370,9 @@ def parabolic_check(ctx: Context, sub_labels: Iterable[str], samples: int,
     sub, _ = edge_subgraph(ctx.graph, sub_labels)
     if not is_connected(sub):
         raise ValueError("subgraph must be connected")
-    if sub.n == 4 and len(sub.edges) == 6:
-        raise ValueError("the complete four-vertex subgraph is excluded")
     sub_ctx = build_context(sub)
+    if sub_ctx.is_k4:
+        raise ValueError("the complete four-vertex subgraph is excluded")
     rng = random.Random(seed)
     report = OracleReport(f"parabolic({','.join(sub_labels)},seed={seed})")
     inner_kind = (VerdictKind.NONTRIVIAL.value, VerdictKind.TRIVIAL.value)

@@ -36,10 +36,6 @@ class AGenerator:
             return f"{self.chord}_{{{self.i}{self.j}}}"
         return f"{self.chord}_{{{self.i},{self.j}}}"
 
-    def token(self) -> str:
-        """Unambiguous serialization token, e.g. ``x[1,4]``."""
-        return f"{self.chord}[{self.i},{self.j}]"
-
 
 # A word over kernel generators: pairs (generator, +1 or -1).
 AWord = tuple[tuple[AGenerator, int], ...]
@@ -76,7 +72,6 @@ class RelatorSet:
     """A named list of relators, either edge words or generator words."""
 
     name: str
-    kind: str  # "edge" or "agen"
     relators: tuple
 
 
@@ -116,7 +111,7 @@ def relators(g: Graph, which: str) -> RelatorSet:
         for cyc in basic_cycles(g, t0):
             side = (cyc.chord,) + cyc.cycle_edges  # u_1 .. u_m
             rels.append(side[:-1] + tuple(reversed(side[1:])))
-    return RelatorSet(which, "edge", tuple(rels))
+    return RelatorSet(which, tuple(rels))
 
 
 def _atn_relators(g: Graph) -> RelatorSet:
@@ -144,7 +139,7 @@ def _atn_relators(g: Graph) -> RelatorSet:
             )
     for x, y in combinations_with_replacement(chords, 2):
         rels.extend(_disjoint_commutators(x, y, n))
-    return RelatorSet("atn", "agen", tuple(rels))
+    return RelatorSet("atn", tuple(rels))
 
 
 def _disjoint_commutators(x: str, y: str, n: int) -> list[AWord]:
@@ -153,23 +148,6 @@ def _disjoint_commutators(x: str, y: str, n: int) -> list[AWord]:
         a, b = AGenerator(x, i, j), AGenerator(y, k, l)
         out.append(((a, 1), (b, 1), (a, -1), (b, -1)))
     return out
-
-
-def serialize_relators(rs: RelatorSet) -> str:
-    """One relator per line, letters space-separated; generator letters use
-    their bracket tokens with a ^-1 suffix for inverses.
-    """
-    lines = []
-    for rel in rs.relators:
-        if rs.kind == "edge":
-            lines.append(" ".join(rel))
-        else:
-            lines.append(
-                " ".join(
-                    gen.token() + ("" if exp == 1 else "^-1") for gen, exp in rel
-                )
-            )
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 @dataclass(frozen=True)
@@ -182,6 +160,10 @@ class TsaranovReport:
 
 class ParameterError(ValueError):
     """Parameters outside the range a construction is defined for."""
+
+
+# The most vertices ``tsaranov_presentation`` builds a graph on.
+TSARANOV_MAX_N = 10_000
 
 
 def tsaranov_presentation(a: int, b: int, t: int) -> TsaranovReport:
@@ -197,8 +179,10 @@ def tsaranov_presentation(a: int, b: int, t: int) -> TsaranovReport:
         raise ParameterError(
             f"need a >= t >= 0 and b >= t, got a={a} b={b} t={t}"
         )
-    g = tsaranov_graph(a, b, t)
     n = a + b + 2 - t
+    if n > TSARANOV_MAX_N:
+        raise ParameterError(f"need a + b + 2 - t <= {TSARANOV_MAX_N}, got {n}")
+    g = tsaranov_graph(a, b, t)
     assert g.n == n
     family = "x_i^2 x_j^-2 (x in X, i != j)" if t >= 1 else "none"
     return TsaranovReport(g, n, t, family)

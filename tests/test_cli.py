@@ -246,6 +246,15 @@ def test_verify_tree(files, capsys):
     assert "PASS relators" in out
 
 
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_verify_rejects_nonpositive_trials(files, capsys, trials):
+    code, out, err = invoke(capsys, "verify", files["sixpts"], "--trials", trials)
+    assert (code, out) == (2, "")
+    assert err.endswith(
+        f"coxgraph verify: error: argument --trials: must be at least 1, got {trials}\n"
+    )
+
+
 def test_verify_deterministic(files, capsys):
     args = ("verify", files["c6"], "--seed", "7", "--trials", "40")
     _, out1, _ = invoke(capsys, *args)
@@ -275,6 +284,12 @@ def test_tsaranov_bad_parameters(capsys):
     code, _, err = invoke(capsys, "tsaranov", "1", "3", "2")
     assert code == 2
     assert "error" in err
+
+
+def test_tsaranov_past_vertex_bound_exits_2(capsys):
+    code, out, err = invoke(capsys, "tsaranov", "5000", "4999", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: need a + b + 2 - t <= 10000, got 10001\n"
 
 
 # ------------------------------------------------------------------ errors
@@ -317,3 +332,33 @@ def test_usage_error_exits_2(capsys):
     assert code == 2
     code, _, _ = invoke(capsys, "frobnicate", "x")
     assert code == 2
+
+
+@pytest.mark.parametrize("text, err", [
+    # a loop on line 1 is reported before a short line after it
+    ("2 2 a\n1 2\n", "line 1: edge a: loop at vertex 2"),
+    # a short line before a loop is reported first
+    ("1 2\n2 2 a\n", "line 1: expected 'A B LABEL', got '1 2'"),
+    # a non-positive vertex outranks a bad label on the same line
+    ("0 1 9x\n", "line 1: vertices must be positive, got 0 1"),
+    ("1 2 a\n0 0 b\n", "line 2: vertices must be positive, got 0 0"),
+    ("0 -3 a\n", "line 1: vertices must be positive, got 0 -3"),
+    # a bad label outranks a loop, a loop outranks a later syntax error
+    ("2 2 9x\n", "line 1: bad label '9x'"),
+    ("1 2 9x\n1 2 3 4\n", "line 1: bad label '9x'"),
+    ("3 3 a\nx 1 b\n", "line 1: edge a: loop at vertex 3"),
+    # duplicates after comments and blank lines keep their file line
+    ("# header\n1 2 a\n\n# note\n2 1 b  # same pair\n2 3 a\n",
+     "line 5: edge b: duplicate pair {1,2}"),
+    ("# header\n1 2 a\n\n2 3 a\n1 2 b\n", "line 4: duplicate label a"),
+    # a pair that is duplicate in both pair and label reads as a pair
+    ("1 2 a\n2 1 a\n", "line 2: edge a: duplicate pair {1,2}"),
+    ("1 2 a\n1\n1 2 a\n", "line 2: expected 'A B LABEL', got '1'"),
+    ("1 2 a\n1 x b\n0 1 c\n", "line 2: bad vertex in '1 x b'"),
+    ("# only a comment\n\n", "line 1: no edges"),
+])
+def test_parse_error_precedence(tmp_path, capsys, text, err):
+    bad = tmp_path / "multi.graph"
+    bad.write_text(text, encoding="utf-8")
+    code, out, got = invoke(capsys, "analyze", str(bad))
+    assert (code, out, got) == (2, "", f"error: {err}\n")

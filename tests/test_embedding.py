@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 from itertools import permutations
 
 import pytest
@@ -33,7 +34,6 @@ from coxgraph.freeprod import (
     component_exponents,
     sd_inv,
     sd_mul,
-    sd_prod,
     word,
 )
 from coxgraph.graphs import DisconnectedError, Graph, UnknownLabelError, parse_graph
@@ -136,7 +136,8 @@ def test_phi_perm_part_matches_word_evaluation(corpus_contexts):
 
 def _fold(ctx, w):
     """The reference evaluation: the sd_mul fold of the letter images."""
-    return sd_prod(ctx.n, (ctx.letter_image(x) for x in w))
+    images = (ctx.letter_image(x) for x in w)
+    return reduce(sd_mul, images, SemidirectElement.identity(ctx.n))
 
 
 def test_phi_matches_fold_on_corpus(corpus_contexts):

@@ -15,6 +15,7 @@ from coxgraph.embedding import build_context
 from coxgraph.graphs import (
     DisconnectedError,
     Graph,
+    GraphError,
     GraphParseError,
     basic_cycles,
     connected_components,
@@ -26,7 +27,6 @@ from coxgraph.graphs import (
     is_connected,
     parse_graph,
     spanning_tree,
-    tree_path,
     tree_path_labels,
     tree_path_vertices,
 )
@@ -140,6 +140,28 @@ def test_parse_rejects_duplicate_label():
         parse_graph("1 2 a\n2 3 a")
 
 
+@pytest.mark.parametrize("edges, row, text", [
+    ([("a", 1, 2), ("9x", 2, 3)], 1, "row 1: bad label '9x'"),
+    ([("a", 0, 2), ("9x", 2, 3)], 0, "row 0: vertices must be positive, got 0 2"),
+    ([("9x", 0, 2)], 0, "row 0: vertices must be positive, got 0 2"),
+    ([("a", 1, 4)], 0, "row 0: edge a: vertex out of range 1..3"),
+    ([("a", 1, 2), ("b", 3, 3)], 1, "row 1: edge b: loop at vertex 3"),
+    ([("a", 1, 2), ("b", 2, 1)], 1, "row 1: edge b: duplicate pair {1,2}"),
+    ([("a", 1, 2), ("a", 2, 3)], 1, "row 1: duplicate label a"),
+])
+def test_graph_names_failing_row(edges, row, text):
+    with pytest.raises(GraphError) as info:
+        Graph(3, edges)
+    assert (str(info.value), info.value.row) == (text, row)
+
+
+def test_parse_error_carries_line_not_row():
+    with pytest.raises(GraphParseError) as info:
+        parse_graph("# c\n1 2 a\n\n2 3 a\n")
+    assert (str(info.value), info.value.line, info.value.row) == (
+        "line 4: duplicate label a", 4, None)
+
+
 def test_parse_comments_and_blank_lines():
     g = parse_graph("# header\n\n1 2 a  # trailing\n2 3 b\n")
     assert g.n == 3 and len(g.edges) == 2
@@ -243,14 +265,13 @@ def test_sixpts_tree_is_the_lettered_one():
 
 def test_tree_path_same_vertex_empty():
     t0 = spanning_tree(path_graph(4))
-    assert tree_path(t0, 2, 2) == []
+    assert tree_path_labels(t0, 2, 2) == ()
 
 
 def test_tree_path_star():
     g = parse_graph("1 2 a\n1 3 c")
     t0 = spanning_tree(g)
     assert tree_path_labels(t0, 2, 3) == ("a", "c")
-    assert tree_path(t0, 2, 3) == [("a", -1), ("c", +1)]
 
 
 def test_tree_path_sixpts():

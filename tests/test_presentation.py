@@ -1,22 +1,24 @@
 import random
+from functools import reduce
 from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from coxgraph import presentation
 from coxgraph.corpus import cycle_graph, path_graph, sixpts_graph, y_graph
-from coxgraph.freeprod import FStarElement, erase_letter, fstar_mul, fstar_prod
+from coxgraph.freeprod import FStarElement, erase_letter, fstar_mul
 from coxgraph.graphs import cycle_rank, spanning_tree
 from coxgraph.perms import Permutation
 from coxgraph.presentation import (
+    TSARANOV_MAX_N,
     AGenerator,
     ParameterError,
     mu,
     mu_word,
     act_a,
     relators,
-    serialize_relators,
     tsaranov_presentation,
 )
 from coxgraph.freeprod import sn_act_f
@@ -83,7 +85,6 @@ def test_act_equivariant_with_mu(s, i, j):
 
 def test_p3_relator_set_exact():
     rs = relators(path_graph(3), "coxy")
-    assert rs.kind == "edge"
     assert set(rs.relators) == {
         ("a", "a"),
         ("b", "b"),
@@ -121,7 +122,6 @@ def test_unknown_presentation_rejected():
 def test_mu_kills_all_generator_relators():
     for g in (sixpts_graph(), cycle_graph(5)):
         rs = relators(g, "atn")
-        assert rs.kind == "agen"
         for rel in rs.relators:
             assert mu_word(rel, g.n).is_identity(), rel
 
@@ -154,31 +154,17 @@ def test_erasure_retracts_onto_smaller_alphabet():
             mu(AGenerator(rng.choice("xyz"), *rng.sample(range(1, n + 1), 2)), n)
             for _ in range(6)
         ]
-        p = fstar_prod(n, factors[:3])
-        q = fstar_prod(n, factors[3:])
+        p = reduce(fstar_mul, factors[:3])
+        q = reduce(fstar_mul, factors[3:])
         kept = [erase_letter(f, "z") for f in factors]
         assert erase_letter(fstar_mul(p, q), "z") == fstar_mul(
-            fstar_prod(n, kept[:3]), fstar_prod(n, kept[3:])
+            reduce(fstar_mul, kept[:3]), reduce(fstar_mul, kept[3:])
         )
-
-
-def test_serialize_edge_relators():
-    text = serialize_relators(relators(path_graph(3), "coxy"))
-    assert "a a" in text.splitlines()
-    assert "a b a b a b" in text.splitlines()
-
-
-def test_serialize_generator_relators():
-    rs = relators(cycle_graph(4), "atn")
-    lines = serialize_relators(rs).splitlines()
-    assert any(line.endswith("^-1") for line in lines)
-    assert all(" " in line or line.endswith("]") for line in lines)
 
 
 def test_generator_display():
     assert str(AGenerator("x", 1, 4)) == "x_{14}"
     assert str(AGenerator("x", 10, 4)) == "x_{10,4}"
-    assert AGenerator("x", 1, 4).token() == "x[1,4]"
 
 
 # ---------------------------------------------------------------- tsaranov
@@ -216,6 +202,20 @@ def test_tsaranov_rejects_bad_parameters():
 def test_tsaranov_bad_parameters_raise_parameter_error():
     for a, b, t in ((1, 3, 2), (3, 1, 2), (2, 2, -1)):
         with pytest.raises(ParameterError, match=f"got a={a} b={b} t={t}"):
+            tsaranov_presentation(a, b, t)
+
+
+def test_tsaranov_vertex_bound(monkeypatch):
+    # a + b + 2 - t vertices: the bound itself is built, one past it is not
+    half = TSARANOV_MAX_N // 2
+    assert tsaranov_presentation(half, half - 1, 1).n == TSARANOV_MAX_N
+
+    def unbuilt(*args):
+        raise AssertionError("built a graph past the bound")
+
+    monkeypatch.setattr(presentation, "tsaranov_graph", unbuilt)
+    for a, b, t in ((half, half - 1, 0), (TSARANOV_MAX_N - 1, 2, 2)):
+        with pytest.raises(ParameterError, match=f"got {TSARANOV_MAX_N + 1}"):
             tsaranov_presentation(a, b, t)
 
 
