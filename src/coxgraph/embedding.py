@@ -11,10 +11,10 @@ the free-group side is only a quotient; verdicts say so explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
+from ._record import Record
 from .freeprod import FStarElement, Letter, ReducedWord, SemidirectElement
 from .graphs import (
     BasicCycle,
@@ -268,10 +268,12 @@ class VerdictKind(Enum):
     TRIVIAL_IN_QUOTIENT = "quotient"
 
 
-@dataclass(frozen=True)
-class Verdict:
-    kind: VerdictKind
-    witness: SemidirectElement | None = None
+class Verdict(Record):
+    __slots__ = ("kind", "witness")
+
+    def __init__(self, kind: VerdictKind, witness: SemidirectElement | None = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "witness", witness)
 
     def is_trivial(self) -> bool:
         return self.kind is VerdictKind.TRIVIAL
@@ -315,16 +317,21 @@ class Classification(Enum):
     CONTAINS_FREE_SUBGROUP = "free_subgroup"
 
 
-@dataclass(frozen=True)
-class StructureReport:
-    n: int
-    t: int
-    classification: Classification
-    kernel_ab_rank: int
-    is_k4: bool
-    torsion_free_kernel: bool
-    residually_finite: bool
-    word_problem_exact: bool
+class StructureReport(Record):
+    __slots__ = ("n", "t", "classification", "kernel_ab_rank", "is_k4",
+                 "torsion_free_kernel", "residually_finite", "word_problem_exact")
+
+    def __init__(self, n: int, t: int, classification: Classification,
+                 kernel_ab_rank: int, is_k4: bool, torsion_free_kernel: bool,
+                 residually_finite: bool, word_problem_exact: bool):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "classification", classification)
+        object.__setattr__(self, "kernel_ab_rank", kernel_ab_rank)
+        object.__setattr__(self, "is_k4", is_k4)
+        object.__setattr__(self, "torsion_free_kernel", torsion_free_kernel)
+        object.__setattr__(self, "residually_finite", residually_finite)
+        object.__setattr__(self, "word_problem_exact", word_problem_exact)
 
 
 def structure_report(ctx: Context) -> StructureReport:

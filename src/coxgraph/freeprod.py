@@ -10,27 +10,27 @@ membership test ``in_ftn`` provides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
+from ._record import Record
 from .perms import Permutation, compose
 
 Letter = tuple[str, int]  # (chord label, exponent +1 or -1)
 
 
-@dataclass(frozen=True)
-class ReducedWord:
+class ReducedWord(Record):
     """A freely reduced word; adjacent letters never cancel."""
 
-    letters: tuple[Letter, ...] = ()
+    __slots__ = ("letters",)
 
-    def __post_init__(self):
-        for (x, e), (y, f) in zip(self.letters, self.letters[1:]):
+    def __init__(self, letters: tuple[Letter, ...] = ()):
+        for (x, e), (y, f) in zip(letters, letters[1:]):
             if x == y and e == -f:
                 raise ValueError(f"not freely reduced at {x}^{e} {y}^{f}")
-        for x, e in self.letters:
+        for x, e in letters:
             if e not in (1, -1):
                 raise ValueError(f"exponent must be +-1, got {x}^{e}")
+        object.__setattr__(self, "letters", letters)
 
     @classmethod
     def _trusted(cls, letters: tuple[Letter, ...]) -> "ReducedWord":
@@ -86,11 +86,13 @@ def word(*letters: Letter) -> ReducedWord:
     return reduce(letters)
 
 
-@dataclass(frozen=True)
-class FStarElement:
+class FStarElement(Record):
     """A tuple of reduced words, one per slot 1..n."""
 
-    components: tuple[ReducedWord, ...]
+    __slots__ = ("components",)
+
+    def __init__(self, components: tuple[ReducedWord, ...]):
+        object.__setattr__(self, "components", components)
 
     @classmethod
     def identity(cls, n: int) -> "FStarElement":
@@ -129,11 +131,13 @@ def fstar_inv(p: FStarElement) -> FStarElement:
     return FStarElement(tuple(w.inverse() for w in p.components))
 
 
-@dataclass(frozen=True)
-class AbVector:
+class AbVector(Record):
     """Total exponent sums per chord label, summed over all slots."""
 
-    counts: tuple[tuple[str, int], ...]
+    __slots__ = ("counts",)
+
+    def __init__(self, counts: tuple[tuple[str, int], ...]):
+        object.__setattr__(self, "counts", counts)
 
     def is_zero(self) -> bool:
         return not self.counts
@@ -178,20 +182,20 @@ def sn_act_f(s: Permutation, p: FStarElement) -> FStarElement:
     return FStarElement(tuple(comps))
 
 
-@dataclass(frozen=True)
-class SemidirectElement:
+class SemidirectElement(Record):
     """A pair (permutation, product-of-free-groups element), written s.f.
 
     Multiplication moves the left factor's free part past the right
     factor's permutation: (s1, f1)(s2, f2) = (s1 s2, (s2 . f1) f2).
     """
 
-    perm: Permutation
-    f: FStarElement
+    __slots__ = ("perm", "f")
 
-    def __post_init__(self):
-        if self.perm.n != self.f.n:
-            raise ValueError(f"size mismatch: {self.perm.n} vs {self.f.n}")
+    def __init__(self, perm: Permutation, f: FStarElement):
+        if perm.n != f.n:
+            raise ValueError(f"size mismatch: {perm.n} vs {f.n}")
+        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "f", f)
 
     @classmethod
     def identity(cls, n: int) -> "SemidirectElement":

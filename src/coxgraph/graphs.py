@@ -9,8 +9,9 @@ direction is needed (chord orientation, cycle labeling).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable
+
+from ._record import Record
 
 LABEL_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -42,11 +43,14 @@ class UnknownLabelError(KeyError):
         super().__init__(f"unknown edge label {label!r}")
 
 
-@dataclass(frozen=True)
-class Edge:
-    label: str
-    a: int  # smaller endpoint
-    b: int  # larger endpoint
+class Edge(Record):
+    __slots__ = ("label", "a", "b")
+
+    def __init__(self, label: str, a: int, b: int):
+        """a is the smaller endpoint, b the larger."""
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     def shares_vertex(self, e: "Edge") -> bool:
         return bool({self.a, self.b} & {e.a, e.b})
@@ -188,13 +192,17 @@ def is_connected(g: Graph) -> bool:
     return len(connected_components(g)) == 1
 
 
-@dataclass(frozen=True)
-class SpanningTreeData:
+class SpanningTreeData(Record):
     """A spanning tree, rooted at vertex 1 for path computations."""
 
-    tree_edges: frozenset[str]
-    parent: dict[int, tuple[int, str]]  # vertex -> (parent vertex, edge label)
-    depth: dict[int, int]
+    __slots__ = ("tree_edges", "parent", "depth")
+
+    def __init__(self, tree_edges: frozenset[str],
+                 parent: dict[int, tuple[int, str]], depth: dict[int, int]):
+        """parent maps a vertex to (parent vertex, edge label)."""
+        object.__setattr__(self, "tree_edges", tree_edges)
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "depth", depth)
 
 
 def spanning_tree(g: Graph) -> SpanningTreeData:
@@ -262,8 +270,7 @@ def tree_path_vertices(t0: SpanningTreeData, a: int, b: int) -> list[int]:
     return up_a + up_b[-2::-1]
 
 
-@dataclass(frozen=True)
-class BasicCycle:
+class BasicCycle(Record):
     """The unique cycle closed by one chord over the spanning tree.
 
     Cycle-local vertex i (1-based) is ``local_to_global[i-1]``; local vertex 1
@@ -272,9 +279,13 @@ class BasicCycle:
     the chord itself plays the role of u_1.
     """
 
-    chord: str
-    local_to_global: tuple[int, ...]
-    cycle_edges: tuple[str, ...]
+    __slots__ = ("chord", "local_to_global", "cycle_edges")
+
+    def __init__(self, chord: str, local_to_global: tuple[int, ...],
+                 cycle_edges: tuple[str, ...]):
+        object.__setattr__(self, "chord", chord)
+        object.__setattr__(self, "local_to_global", local_to_global)
+        object.__setattr__(self, "cycle_edges", cycle_edges)
 
     @property
     def m(self) -> int:

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
+from ._record import Record
 from .embedding import (
     Context,
     VerdictKind,
@@ -35,11 +35,18 @@ ORDER_CHECK_MAX_N = 9
 Failure = tuple[str, str, str, str]  # (check id, inputs, expected, got)
 
 
-@dataclass
-class OracleReport:
-    name: str
-    checks_run: int = 0
-    failures: list[Failure] = field(default_factory=list)
+class OracleReport(Record):
+    __slots__ = ("name", "checks_run", "failures")
+    # Reports are filled in check by check, so their fields are writable.
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, name: str, checks_run: int = 0,
+                 failures: list[Failure] | None = None):
+        self.name = name
+        self.checks_run = checks_run
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self) -> bool:

@@ -9,9 +9,9 @@ be pumped through the evaluation maps and checked exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, permutations
 
+from ._record import Record
 from .freeprod import FStarElement, fstar_inv, fstar_mul
 from .graphs import (
     DisconnectedError,
@@ -25,11 +25,13 @@ from .perms import Permutation
 EdgeWord = tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class AGenerator:
-    chord: str
-    i: int
-    j: int
+class AGenerator(Record):
+    __slots__ = ("chord", "i", "j")
+
+    def __init__(self, chord: str, i: int, j: int):
+        object.__setattr__(self, "chord", chord)
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
 
     def __str__(self) -> str:
         if self.i < 10 and self.j < 10:
@@ -67,12 +69,14 @@ def act_a(s: Permutation, gen: AGenerator) -> AGenerator:
     return AGenerator(gen.chord, s(gen.i), s(gen.j))
 
 
-@dataclass(frozen=True)
-class RelatorSet:
+class RelatorSet(Record):
     """A named list of relators, either edge words or generator words."""
 
-    name: str
-    relators: tuple
+    __slots__ = ("name", "relators")
+
+    def __init__(self, name: str, relators: tuple):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "relators", relators)
 
 
 def relators(g: Graph, which: str) -> RelatorSet:
@@ -150,12 +154,14 @@ def _disjoint_commutators(x: str, y: str, n: int) -> list[AWord]:
     return out
 
 
-@dataclass(frozen=True)
-class TsaranovReport:
-    graph: Graph
-    n: int
-    t: int
-    extra_relators: str
+class TsaranovReport(Record):
+    __slots__ = ("graph", "n", "t", "extra_relators")
+
+    def __init__(self, graph: Graph, n: int, t: int, extra_relators: str):
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "extra_relators", extra_relators)
 
 
 class ParameterError(ValueError):

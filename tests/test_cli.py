@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from coxgraph import cli
@@ -362,3 +367,45 @@ def test_parse_error_precedence(tmp_path, capsys, text, err):
     bad.write_text(text, encoding="utf-8")
     code, out, got = invoke(capsys, "analyze", str(bad))
     assert (code, out, got) == (2, "", f"error: {err}\n")
+
+
+# ---------------------------------------------------------------- process
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter without the site packages, with coxgraph on its
+    path."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-S", *args], env=env,
+                          capture_output=True, text=True, timeout=60, check=False)
+
+
+@pytest.mark.parametrize("word, code", [("c e c x", 0), ("c e q", 1)])
+def test_module_entry_point_matches_run(files, capsys, word, code):
+    proc = run_python("-m", "coxgraph.cli", "solve", files["sixpts"], word)
+    expected = invoke(capsys, "solve", files["sixpts"], word)
+    assert expected[0] == code
+    assert (proc.returncode, proc.stdout, proc.stderr) == expected
+
+
+STARTUP_PROBE = """
+import contextlib, io, sys
+from coxgraph.cli import run
+def loaded():
+    return [m for m in ("dataclasses", "coxgraph.oracle") if m in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert run(["solve", sys.argv[1], "c e c x"]) == 0
+    after_solve = loaded()
+    assert run(["verify", sys.argv[1], "--trials", "5"]) == 0
+print(after_solve, loaded())
+"""
+
+
+def test_queries_import_only_what_they_need(files):
+    """A word query loads neither the oracle nor dataclasses; verify loads
+    the oracle."""
+    proc = run_python("-c", STARTUP_PROBE, files["sixpts"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[] ['coxgraph.oracle']\n"
