@@ -12,6 +12,7 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
+from coxgraph.cli import _positive_int
 from coxgraph.corpus import corpus
 from coxgraph.embedding import build_context
 from coxgraph.oracle import full_suite
@@ -20,7 +21,7 @@ from coxgraph.oracle import full_suite
 def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--trials", type=int, default=300)
+    parser.add_argument("--trials", type=_positive_int, default=300)
     args = parser.parse_args()
 
     start = time.perf_counter()

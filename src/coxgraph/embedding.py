@@ -11,8 +11,8 @@ the free-group side is only a quotient; verdicts say so explicitly.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from enum import Enum
-from typing import Iterable
 
 from ._record import Record
 from .freeprod import FStarElement, Letter, ReducedWord, SemidirectElement

@@ -10,7 +10,7 @@ membership test ``in_ftn`` provides.
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 from ._record import Record
 from .perms import Permutation, compose

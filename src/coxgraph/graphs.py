@@ -9,7 +9,7 @@ direction is needed (chord orientation, cycle labeling).
 from __future__ import annotations
 
 import re
-from typing import Iterable
+from collections.abc import Iterable
 
 from ._record import Record
 

@@ -7,7 +7,7 @@ first letter of a word is applied first.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 
 class Permutation:

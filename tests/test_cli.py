@@ -394,7 +394,7 @@ STARTUP_PROBE = """
 import contextlib, io, sys
 from coxgraph.cli import run
 def loaded():
-    return [m for m in ("dataclasses", "coxgraph.oracle") if m in sys.modules]
+    return [m for m in ("dataclasses", "typing", "coxgraph.oracle") if m in sys.modules]
 with contextlib.redirect_stdout(io.StringIO()):
     assert run(["solve", sys.argv[1], "c e c x"]) == 0
     after_solve = loaded()
@@ -404,8 +404,19 @@ print(after_solve, loaded())
 
 
 def test_queries_import_only_what_they_need(files):
-    """A word query loads neither the oracle nor dataclasses; verify loads
-    the oracle."""
+    """A word query loads neither the oracle nor dataclasses nor typing;
+    verify loads the oracle and still not typing."""
     proc = run_python("-c", STARTUP_PROBE, files["sixpts"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[] ['coxgraph.oracle']\n"
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_corpus_rejects_trials_below_one(trials):
+    """The corpus script takes ``--trials`` as ``coxgraph verify`` does."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "verify_corpus.py"
+    proc = run_python(str(script), "--trials", trials)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.endswith(
+        f"error: argument --trials: must be at least 1, got {trials}\n"
+    )

@@ -25,6 +25,7 @@ from coxgraph.oracle import (
     identity_suite,
     parabolic_check,
     random_word,
+    random_words,
 )
 from coxgraph.perms import Permutation, compose
 from coxgraph.presentation import AGenerator, mu, relators
@@ -268,15 +269,18 @@ def test_identity_suite_single_chord():
     assert identity_suite(seed=4, n=5, t=1, trials=200).ok
 
 
+def flipped_mu(gen, n):
+    """A planted fault: mu with every exponent made +1, so the second slot
+    of each generator carries the wrong one."""
+    f = mu(gen, n)
+    return FStarElement(tuple(
+        ReducedWord(tuple((x, 1) for x, _ in w.letters)) for w in f.components
+    ))
+
+
 def test_identity_suite_exercises_mu(monkeypatch):
     """Planted fault: a mu whose second slot carries the wrong exponent must
     fail the suite, so the sparse evaluation really goes through mu."""
-    def flipped_mu(gen, n):
-        f = mu(gen, n)
-        return FStarElement(tuple(
-            ReducedWord(tuple((x, 1) for x, _ in w.letters)) for w in f.components
-        ))
-
     monkeypatch.setattr(oracle, "mu", flipped_mu)
     report = identity_suite(seed=1, n=5, t=2, trials=20)
     assert not report.ok
@@ -287,6 +291,71 @@ def test_identity_suite_exercises_mu(monkeypatch):
     assert expected == f"{min(i, k)}: {x}, {max(i, k)}: {x}"
     assert f"{j}: {x} {x}" in got
     assert re.fullmatch(r"\d: [^,]+(, \d: [^,]+)*", got)
+
+
+# Every failure the flipped mu gives in three trials, in order, with the
+# exact inputs and both sides: the check order and the side texts are part
+# of every replayable report.
+EXPECTED_MU_FAILURES = "\n".join([
+    "FAIL identity-suite(seed=1,n=5,t=2) (30 checks)",
+    "  chain: i=2 j=1 k=5 l=4 x=x2 y=x2 z=x2 u=x2 v=x1 w=x1: "
+    "expected 2: x2, 5: x2, "
+    "got 1: x2 x2, 2: x2, 5: x2",
+    "  reverse-chain: i=2 j=1 k=5 l=4 x=x2 y=x2 z=x2 u=x2 v=x1 w=x1: "
+    "expected 2: x2, 5: x2, "
+    "got 1: x2 x2, 2: x2, 5: x2",
+    "  fork-exchange: i=2 j=1 k=5 l=4 x=x2 y=x2 z=x2 u=x2 v=x1 w=x1: "
+    "expected 1: x1 x2, 2: x2 x1, 4: x1, 5: x1 x2 x2, "
+    "got 1: x1 x2, 2: x2 x1, 4: x2 x2 x1, 5: x1",
+    "  chain: i=4 j=1 k=2 l=3 x=x1 y=x2 z=x2 u=x1 v=x1 w=x2: "
+    "expected 2: x1, 4: x1, "
+    "got 1: x1 x1, 2: x1, 4: x1",
+    "  reverse-chain: i=4 j=1 k=2 l=3 x=x1 y=x2 z=x2 u=x1 v=x1 w=x2: "
+    "expected 2: x1, 4: x1, "
+    "got 1: x1 x1, 2: x1, 4: x1",
+    "  conjugated-commute: i=4 j=1 k=2 l=3 x=x1 y=x2 z=x2 u=x1 v=x1 w=x2: "
+    "expected 1: x1, 2: x2 x2 x2, 3: x2, 4: x2 x2 x1, "
+    "got 1: x1, 2: x2 x2 x2, 3: x2, 4: x1 x2 x2",
+    "  conjugated-commute-inv: i=4 j=1 k=2 l=3 x=x1 y=x2 z=x2 u=x1 v=x1 w=x2: "
+    "expected 1: x1, 2: x2 x2 x2, 3: x2, 4: x2 x2 x1, "
+    "got 1: x1, 2: x2 x2 x2, 3: x2, 4: x1 x2 x2",
+    "  triple-exchange-a: i=4 j=1 k=2 l=3 x=x1 y=x2 z=x2 u=x1 v=x1 w=x2: "
+    "expected 1: x2 x2, 2: x1 x2, 4: x2 x1, "
+    "got 1: x1 x1, 2: x1 x2, 4: x2 x1",
+    "  triple-exchange-b: i=4 j=1 k=2 l=3 x=x1 y=x2 z=x2 u=x1 v=x1 w=x2: "
+    "expected 1: x2 x2, 2: x1 x2, 4: x2 x1, "
+    "got 1: x1 x1, 2: x1 x2, 4: x2 x1",
+    "  triple-exchange-c: i=4 j=1 k=2 l=3 x=x1 y=x2 z=x2 u=x1 v=x1 w=x2: "
+    "expected 1: x2 x2, 2: x1 x2, 4: x2 x1, "
+    "got 1: x1 x1, 2: x1 x2, 4: x2 x1",
+    "  fork-exchange: i=4 j=1 k=2 l=3 x=x1 y=x2 z=x2 u=x1 v=x1 w=x2: "
+    "expected 1: x1 x1, 2: x2 x1 x1, 3: x2, 4: x1 x1, "
+    "got 1: x1 x1, 2: x2, 3: x1 x1 x2, 4: x1 x1",
+    "  chain: i=1 j=5 k=4 l=3 x=x2 y=x1 z=x2 u=x1 v=x1 w=x2: "
+    "expected 1: x2, 4: x2, "
+    "got 1: x2, 4: x2, 5: x2 x2",
+    "  reverse-chain: i=1 j=5 k=4 l=3 x=x2 y=x1 z=x2 u=x1 v=x1 w=x2: "
+    "expected 1: x2, 4: x2, "
+    "got 1: x2, 4: x2, 5: x2 x2",
+    "  triple-exchange-a: i=1 j=5 k=4 l=3 x=x2 y=x1 z=x2 u=x1 v=x1 w=x2: "
+    "expected 1: x1 x2, 4: x2 x1, 5: x1 x1, "
+    "got 1: x1 x2, 4: x2 x1, 5: x2 x2",
+    "  triple-exchange-b: i=1 j=5 k=4 l=3 x=x2 y=x1 z=x2 u=x1 v=x1 w=x2: "
+    "expected 1: x1 x2, 4: x2 x1, 5: x1 x1, "
+    "got 1: x1 x2, 4: x2 x1, 5: x2 x2",
+    "  triple-exchange-c: i=1 j=5 k=4 l=3 x=x2 y=x1 z=x2 u=x1 v=x1 w=x2: "
+    "expected 1: x1 x2, 4: x2 x1, 5: x1 x1, "
+    "got 1: x1 x2, 4: x2 x1, 5: x2 x2",
+    "  fork-exchange: i=1 j=5 k=4 l=3 x=x2 y=x1 z=x2 u=x1 v=x1 w=x2: "
+    "expected 1: x1 x1, 3: x2, 4: x2 x1 x1, 5: x1 x1, "
+    "got 1: x1 x1, 3: x1 x1 x2, 4: x2, 5: x1 x1",
+])
+
+
+def test_identity_suite_failure_transcript(monkeypatch):
+    monkeypatch.setattr(oracle, "mu", flipped_mu)
+    report = identity_suite(seed=1, n=5, t=2, trials=3)
+    assert report.render() == EXPECTED_MU_FAILURES
 
 
 def test_slot_words_render_like_fstar():
@@ -394,6 +463,41 @@ def test_random_word_without_labels():
     with pytest.raises(IndexError):
         random_word(random.Random(1), [], 5)
 
+
+@pytest.mark.parametrize("max_len", [0, 1, 16])
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 7])
+def test_random_words_match_randrange_and_choice(count, max_len):
+    """One call draws the words that ``rng.randrange`` for each length and
+    ``rng.choice`` for each letter draw, and leaves the generator in the
+    same state."""
+    labels = [f"e{k}" for k in range(count)]
+    for seed in range(60):
+        ours, plain = random.Random(seed), random.Random(seed)
+        expected = [
+            tuple(plain.choice(labels) for _ in range(plain.randrange(max_len + 1)))
+            for _ in range(seed % 30)
+        ]
+        assert random_words(ours, labels, seed % 30, max_len) == expected
+        assert ours.getstate() == plain.getstate()
+
+
+def test_random_words_without_labels():
+    """No labels: empty words while the drawn lengths are 0, then the
+    ``IndexError`` that ``rng.choice`` raises, at the first nonzero length."""
+    words_first = 0
+    for seed in range(40):
+        plain = random.Random(seed)
+        empty = 0
+        while plain.randrange(3) == 0:
+            empty += 1
+        assert random_words(random.Random(seed), [], empty, 2) == [()] * empty
+        with pytest.raises(IndexError):
+            random_words(random.Random(seed), [], empty + 1, 2)
+        words_first += empty > 0
+    assert words_first > 5
+    assert random_words(random.Random(1), [], 5, 0) == [()] * 5
+    with pytest.raises(ValueError):
+        random_words(random.Random(1), ["a"], 1, -1)
 
 def test_parabolic_spanning_tree(corpus_contexts):
     ctx = corpus_contexts["sixpts"]
