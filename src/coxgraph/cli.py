@@ -3,8 +3,9 @@
 Subcommands: analyze, solve, equal, kernel, verify, tsaranov.  Exit codes:
 0 on success (including quotient-only verdicts), 1 when verify finds
 failures or a word uses an unknown label, 2 on usage errors, bad
-parameters, unreadable or invalid graph files.  Any other KeyError or
-ValueError is an internal error and propagates.
+parameters, unreadable or invalid graph files.  Any other KeyError,
+ValueError or OSError is an internal error and propagates; ``main`` lets a
+closed stdout end the process by SIGPIPE where the platform has one.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ def run(argv: list[str]) -> int:
         return 2 if exc.code else 0
     try:
         return args.cmd(args)
-    except (GraphError, ParameterError, OSError) as exc:
+    except (GraphError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except UnknownLabelError as exc:
@@ -104,13 +105,17 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
+    import signal
+
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run(sys.argv[1:]))
 
 
 def _load_context(path: str) -> Context:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:  # a ValueError, but the file's fault
+    except (OSError, UnicodeDecodeError) as exc:  # the file's fault
         raise GraphError(str(exc)) from exc
     return build_context(parse_graph(text))
 

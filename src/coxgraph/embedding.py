@@ -18,12 +18,10 @@ from ._record import Record
 from .freeprod import FStarElement, Letter, ReducedWord, SemidirectElement
 from .graphs import (
     BasicCycle,
-    DisconnectedError,
     Graph,
     SpanningTreeData,
     UnknownLabelError,
     basic_cycles,
-    is_connected,
     spanning_tree,
     tree_path_labels,
 )
@@ -95,10 +93,6 @@ class Context:
 
 
 def build_context(g: Graph) -> Context:
-    if not is_connected(g):
-        raise DisconnectedError(
-            "analysis needs a connected graph; split it into components first"
-        )
     t0 = spanning_tree(g)
     return Context(g, t0, basic_cycles(g, t0))
 

@@ -184,12 +184,34 @@ def connected_components(g: Graph) -> list[tuple[int, ...]]:
     return comps
 
 
-def is_connected(g: Graph) -> bool:
+def _tree_edges(g: Graph) -> list[Edge] | None:
+    """The minimum-label spanning tree's edges, or None when g is not
+    connected: scan edges in label order and keep the ones that join two
+    union-find classes.  This is the one place that decides connectivity.
+    """
     # A vertex on no edge is a component of its own; counting the vertices
-    # on an edge settles that without walking all n of them.
+    # on an edge settles that before anything is allocated per vertex.
     if g.n > 1 and len(g._adj) < g.n:
-        return False
-    return len(connected_components(g)) == 1
+        return None
+    root_of = list(range(g.n + 1))
+
+    def find(v: int) -> int:
+        while root_of[v] != v:
+            root_of[v] = root_of[root_of[v]]
+            v = root_of[v]
+        return v
+
+    chosen: list[Edge] = []
+    for e in g.edges:  # already label-sorted
+        ra, rb = find(e.a), find(e.b)
+        if ra != rb:
+            root_of[ra] = rb
+            chosen.append(e)
+    return chosen if len(chosen) == g.n - 1 else None
+
+
+def is_connected(g: Graph) -> bool:
+    return _tree_edges(g) is not None
 
 
 class SpanningTreeData(Record):
@@ -206,68 +228,57 @@ class SpanningTreeData(Record):
 
 
 def spanning_tree(g: Graph) -> SpanningTreeData:
-    """Deterministic spanning tree: scan edges in label order, keep the ones
-    joining new components (minimum-label tree).  Unique labels make this a
-    pure function of the graph.
+    """Deterministic spanning tree: the minimum-label tree, a pure function
+    of the graph because labels are unique.  Raises ``DisconnectedError``
+    when g is not connected.
     """
-    if not is_connected(g):
-        raise DisconnectedError("spanning_tree requires a connected graph")
-    root_of = {v: v for v in g.vertices()}
-
-    def find(v: int) -> int:
-        while root_of[v] != v:
-            root_of[v] = root_of[root_of[v]]
-            v = root_of[v]
-        return v
-
-    chosen: list[Edge] = []
-    for e in g.edges:  # already label-sorted
-        ra, rb = find(e.a), find(e.b)
-        if ra != rb:
-            root_of[ra] = rb
-            chosen.append(e)
-    assert len(chosen) == g.n - 1
-    adj: dict[int, list[tuple[int, str]]] = {v: [] for v in g.vertices()}
-    for e in chosen:
-        adj[e.a].append((e.b, e.label))
-        adj[e.b].append((e.a, e.label))
+    chosen = _tree_edges(g)
+    if chosen is None:
+        raise DisconnectedError(
+            "analysis needs a connected graph; split it into components first"
+        )
+    tree_edges = frozenset(e.label for e in chosen)
     parent: dict[int, tuple[int, str]] = {}
     depth = {1: 0}
     stack = [1]
     while stack:
         v = stack.pop()
-        for w, label in sorted(adj[v]):
-            if w not in depth:
+        for w, label in g.neighbors(v):
+            if label in tree_edges and w not in depth:
                 depth[w] = depth[v] + 1
                 parent[w] = (v, label)
                 stack.append(w)
-    return SpanningTreeData(frozenset(e.label for e in chosen), parent, depth)
+    return SpanningTreeData(tree_edges, parent, depth)
+
+
+def _tree_path(t0: SpanningTreeData, a: int,
+               b: int) -> tuple[list[int], tuple[str, ...]]:
+    """The unique tree path from a to b, walked once: its vertices, starting
+    at a and ending at b, and the label of each step, which is the parent
+    edge of the step's deeper endpoint."""
+    parent, depth = t0.parent, t0.depth
+    verts_a, labels_a, verts_b, labels_b = [a], [], [b], []
+    x, y = a, b
+    while x != y:
+        if depth[x] >= depth[y]:
+            x, label = parent[x]
+            verts_a.append(x)
+            labels_a.append(label)
+        else:
+            y, label = parent[y]
+            verts_b.append(y)
+            labels_b.append(label)
+    return verts_a + verts_b[-2::-1], tuple(labels_a + labels_b[::-1])
 
 
 def tree_path_labels(t0: SpanningTreeData, a: int, b: int) -> tuple[str, ...]:
-    """Edge labels along the unique tree path from a to b; each step is the
-    parent edge of its deeper endpoint."""
-    verts = tree_path_vertices(t0, a, b)
-    deeper = t0.depth.__getitem__
-    return tuple(t0.parent[max(u, v, key=deeper)][1] for u, v in zip(verts, verts[1:]))
+    """Edge labels along the unique tree path from a to b."""
+    return _tree_path(t0, a, b)[1]
 
 
 def tree_path_vertices(t0: SpanningTreeData, a: int, b: int) -> list[int]:
     """Vertices along the unique tree path, starting at a and ending at b."""
-    up_a, up_b = [a], [b]
-    x, y = a, b
-    while t0.depth[x] > t0.depth[y]:
-        x = t0.parent[x][0]
-        up_a.append(x)
-    while t0.depth[y] > t0.depth[x]:
-        y = t0.parent[y][0]
-        up_b.append(y)
-    while x != y:
-        x = t0.parent[x][0]
-        y = t0.parent[y][0]
-        up_a.append(x)
-        up_b.append(y)
-    return up_a + up_b[-2::-1]
+    return _tree_path(t0, a, b)[0]
 
 
 class BasicCycle(Record):
@@ -309,8 +320,7 @@ def basic_cycles(g: Graph, t0: SpanningTreeData) -> tuple[BasicCycle, ...]:
     for e in g.edges:
         if e.label in t0.tree_edges:
             continue
-        verts = tree_path_vertices(t0, e.a, e.b)
-        labels = tree_path_labels(t0, e.a, e.b)
+        verts, labels = _tree_path(t0, e.a, e.b)
         cycles.append(BasicCycle(e.label, tuple(verts), labels))
     return tuple(cycles)
 

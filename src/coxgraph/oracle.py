@@ -24,7 +24,7 @@ from .embedding import (
     trivial_image,
 )
 from .freeprod import FStarElement, ReducedWord, component_exponents
-from .graphs import edge_subgraph, is_connected
+from .graphs import edge_subgraph
 from .perms import Permutation, perm_of_word
 from .presentation import AGenerator, mu, relators
 
@@ -375,8 +375,6 @@ def parabolic_check(ctx: Context, sub_labels: Iterable[str], samples: int,
     """
     sub_labels = sorted(sub_labels)
     sub, _ = edge_subgraph(ctx.graph, sub_labels)
-    if not is_connected(sub):
-        raise ValueError("subgraph must be connected")
     sub_ctx = build_context(sub)
     if sub_ctx.is_k4:
         raise ValueError("the complete four-vertex subgraph is excluded")

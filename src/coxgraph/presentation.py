@@ -13,13 +13,7 @@ from itertools import combinations, combinations_with_replacement, permutations
 
 from ._record import Record
 from .freeprod import FStarElement, fstar_inv, fstar_mul
-from .graphs import (
-    DisconnectedError,
-    Graph,
-    basic_cycles,
-    is_connected,
-    spanning_tree,
-)
+from .graphs import Graph, basic_cycles, spanning_tree
 from .perms import Permutation
 
 EdgeWord = tuple[str, ...]
@@ -109,8 +103,6 @@ def relators(g: Graph, which: str) -> RelatorSet:
             for u, v, w in combinations(at_s, 3):
                 rels.append((u, v, w, v, u, v, w, v))
     if which == "symmetric":
-        if not is_connected(g):
-            raise DisconnectedError("cycle relators need a connected graph")
         t0 = spanning_tree(g)
         for cyc in basic_cycles(g, t0):
             side = (cyc.chord,) + cyc.cycle_edges  # u_1 .. u_m

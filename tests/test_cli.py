@@ -1,4 +1,6 @@
 import os
+import shlex
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -301,8 +303,9 @@ def test_tsaranov_past_vertex_bound_exits_2(capsys):
 
 
 def test_missing_file_exits_2(capsys):
-    code, _, err = invoke(capsys, "analyze", "/nonexistent/g.graph")
-    assert code == 2
+    code, out, err = invoke(capsys, "analyze", "/nonexistent/g.graph")
+    assert (code, out) == (2, "")
+    assert err == "error: [Errno 2] No such file or directory: '/nonexistent/g.graph'\n"
 
 
 def test_parse_error_exits_2(tmp_path, capsys):
@@ -420,3 +423,53 @@ def test_verify_corpus_rejects_trials_below_one(trials):
     assert proc.stderr.endswith(
         f"error: argument --trials: must be at least 1, got {trials}\n"
     )
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE here")
+@pytest.mark.parametrize("argv", [["verify"], ["solve", "c e c x"]],
+                         ids=["verify", "solve"])
+def test_closed_stdout_ends_by_sigpipe(files, argv):
+    """Output into a pipe with no reader ends the process by SIGPIPE, not
+    by the exit 2 kept for graph files, and writes nothing to stderr."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-S", "-m", "coxgraph.cli", argv[0], files["sixpts"],
+             *argv[1:]],
+            env=dict(os.environ, PYTHONPATH=SRC), stdout=write_end,
+            stderr=subprocess.PIPE, timeout=60, check=False,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (-signal.SIGPIPE, b"")
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def readme_cli_examples() -> list[tuple[str, list[str]]]:
+    """Each ``coxgraph ...`` line of the README's CLI block, with the output
+    lines its ``#`` comments give: the one on the line, then the indented
+    comment lines under it."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples: list[tuple[str, list[str]]] = []
+    for line in block.splitlines():
+        if line.startswith("coxgraph "):
+            command, _, comment = line.partition(" #")
+            examples.append((command.strip(), [comment.strip()] if comment else []))
+        elif line.startswith("#"):
+            examples[-1][1].append(line[1:].strip())
+    return examples
+
+
+@pytest.mark.parametrize("command, expected", [
+    pytest.param(command, expected, id=command)
+    for command, expected in readme_cli_examples()
+])
+def test_readme_cli_examples(capsys, monkeypatch, command, expected):
+    monkeypatch.chdir(ROOT)
+    code, out, err = invoke(capsys, *shlex.split(command)[1:])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:len(expected)] == expected

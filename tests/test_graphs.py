@@ -3,6 +3,7 @@ import tracemalloc
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxgraph.corpus import (
     complete4,
@@ -30,6 +31,8 @@ from coxgraph.graphs import (
     tree_path_labels,
     tree_path_vertices,
 )
+from coxgraph.oracle import parabolic_check
+from coxgraph.presentation import relators
 
 from strategies import random_connected_graphs
 
@@ -67,22 +70,23 @@ def minimum_label_tree_oracle(g: Graph) -> frozenset:
     return frozenset(best)
 
 
-def all_simple_paths(g: Graph, a: int, b: int) -> list[list[str]]:
+def all_simple_paths(g: Graph, a: int, b: int) -> list[tuple[list[int], list[str]]]:
+    """Every simple path from a to b: its vertices and its edge labels."""
     out = []
 
-    def walk(v, used_verts, labels):
+    def walk(v, verts, labels):
         if v == b:
-            out.append(labels[:])
+            out.append((verts[:], labels[:]))
             return
         for w, label in g.neighbors(v):
-            if w not in used_verts:
-                used_verts.add(w)
+            if w not in verts:
+                verts.append(w)
                 labels.append(label)
-                walk(w, used_verts, labels)
+                walk(w, verts, labels)
                 labels.pop()
-                used_verts.remove(w)
+                verts.pop()
 
-    walk(a, {a}, [])
+    walk(a, [a], [])
     return out
 
 
@@ -203,6 +207,8 @@ def test_huge_vertex_id_allocates_nothing_per_vertex():
     try:
         g = parse_graph("1 1000000 a")
         connected = is_connected(g)
+        with pytest.raises(DisconnectedError):
+            spanning_tree(Graph(10**6, [("a", 1, 2), ("b", 2, 3)]))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -219,6 +225,51 @@ def test_isolated_vertex_disconnects():
     assert (2,) in connected_components(g)
     with pytest.raises(DisconnectedError):
         spanning_tree(g)
+
+
+DISCONNECTED_TEXT = "analysis needs a connected graph; split it into components first"
+DISCONNECTED_CALLS = {
+    "spanning_tree": spanning_tree,
+    "build_context": build_context,
+    "relators": lambda g: relators(g, "symmetric"),
+}
+DISCONNECTED_GRAPHS = {
+    "two-components": "1 2 a\n3 4 b\n",
+    "isolated-vertex": "1 3 a\n3 4 b\n",
+}
+
+
+@pytest.mark.parametrize("call", [
+    *(pytest.param(lambda f=f, text=text: f(parse_graph(text)), id=f"{name}-{kind}")
+      for name, f in DISCONNECTED_CALLS.items()
+      for kind, text in DISCONNECTED_GRAPHS.items()),
+    pytest.param(lambda: parabolic_check(build_context(sixpts_graph()), ["a", "e"], 5, 1),
+                 id="parabolic_check-sixpts-a-e"),
+])
+def test_disconnected_error_has_one_text(call):
+    """Every operation that needs a connected graph learns it from
+    spanning_tree, so all of them fail the same way."""
+    with pytest.raises(DisconnectedError) as info:
+        call()
+    assert str(info.value) == DISCONNECTED_TEXT
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_is_connected_agrees_with_components(data):
+    """Random edges dropped from a connected graph: is_connected and
+    spanning_tree agree with the component walk."""
+    g = data.draw(random_connected_graphs())
+    keep = data.draw(st.lists(st.booleans(), min_size=len(g.edges),
+                              max_size=len(g.edges)))
+    h = Graph(g.n, [(e.label, e.a, e.b) for e, k in zip(g.edges, keep) if k])
+    connected = len(connected_components(h)) == 1
+    assert is_connected(h) == connected
+    if connected:
+        assert len(spanning_tree(h).tree_edges) == h.n - 1
+    else:
+        with pytest.raises(DisconnectedError):
+            spanning_tree(h)
 
 
 # ---------------------------------------------------------- spanning tree
@@ -290,7 +341,9 @@ def test_tree_path_matches_unique_simple_path(corpus_graphs):
             for b in g.vertices():
                 paths = all_simple_paths(tree, a, b)
                 assert len(paths) == 1
-                assert list(tree_path_labels(t0, a, b)) == paths[0]
+                verts, labels = paths[0]
+                assert tree_path_vertices(t0, a, b) == verts
+                assert list(tree_path_labels(t0, a, b)) == labels
 
 
 # ------------------------------------------------------------ basic cycles
