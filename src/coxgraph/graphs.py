@@ -9,7 +9,7 @@ direction is needed (chord orientation, cycle labeling).
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 
 from ._record import Record
 
@@ -165,35 +165,22 @@ def graph_text(g: Graph) -> str:
 
 
 def connected_components(g: Graph) -> list[tuple[int, ...]]:
-    """Vertex sets of the connected components, each sorted, smallest first."""
-    seen: set[int] = set()
-    comps = []
-    for start in g.vertices():
-        if start in seen:
-            continue
-        stack, comp = [start], []
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w, _ in g.neighbors(v):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(tuple(sorted(comp)))
-    return comps
+    """Vertex sets of the connected components, each sorted, smallest first:
+    the union-find classes of the vertices on an edge, and each vertex on
+    no edge alone."""
+    _, find = _union_find(g)
+    classes: dict[int, list[int]] = {}
+    for v in sorted(g._adj):
+        classes.setdefault(find(v), []).append(v)
+    alone = [(v,) for v in g.vertices() if v not in g._adj]
+    return sorted([*map(tuple, classes.values()), *alone])
 
 
-def _tree_edges(g: Graph) -> list[Edge] | None:
-    """The minimum-label spanning tree's edges, or None when g is not
-    connected: scan edges in label order and keep the ones that join two
-    union-find classes.  This is the one place that decides connectivity.
-    """
-    # A vertex on no edge is a component of its own; counting the vertices
-    # on an edge settles that before anything is allocated per vertex.
-    if g.n > 1 and len(g._adj) < g.n:
-        return None
-    root_of = list(range(g.n + 1))
+def _union_find(g: Graph) -> tuple[list[Edge], Callable[[int], int]]:
+    """Scan edges in label order and keep the ones that join two union-find
+    classes: the minimum-label spanning forest, with the class root of each
+    vertex on an edge.  This is the one place that decides connectivity."""
+    root_of = {v: v for v in g._adj}
 
     def find(v: int) -> int:
         while root_of[v] != v:
@@ -207,6 +194,17 @@ def _tree_edges(g: Graph) -> list[Edge] | None:
         if ra != rb:
             root_of[ra] = rb
             chosen.append(e)
+    return chosen, find
+
+
+def _tree_edges(g: Graph) -> list[Edge] | None:
+    """The minimum-label spanning tree's edges, or None when g is not
+    connected.  A vertex on no edge is a component of its own; counting the
+    vertices on an edge settles that before anything is allocated per vertex.
+    """
+    if g.n > 1 and len(g._adj) < g.n:
+        return None
+    chosen, _ = _union_find(g)
     return chosen if len(chosen) == g.n - 1 else None
 
 

@@ -190,88 +190,81 @@ class _Level:
 def ab_rank(rows: Sequence[Mapping]) -> int:
     """Integer rank of exponent vectors via fraction-free elimination."""
     keys = sorted({k for row in rows for k in row})
-    mat = [[row.get(k, 0) for k in keys] for row in rows]
-    return _integer_rank(mat)
-
-
-def _integer_rank(mat: list[list[int]]) -> int:
-    if not mat or not mat[0]:
-        return 0
-    m = [row[:] for row in mat]
-    rows, cols = len(m), len(m[0])
-    prev = 1
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
+    m = [[row.get(k, 0) for k in keys] for row in rows]
+    height, prev, r = len(m), 1, 0
+    for c in range(len(keys)):
+        piv = next((i for i in range(r, height) if m[i][c] != 0), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
+        for i in range(r + 1, height):
+            for j in range(c + 1, len(keys)):
                 m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
             m[i][c] = 0
         prev = m[r][c]
         r += 1
-        if r == rows:
+        if r == height:
             break
     return r
 
 
-class _SlotWords(dict):
-    """A sparse element of the product of free groups: slot -> nonempty
-    reduced letter tuple.  Products act slot by slot, so only touched slots
-    cost; both factors are reduced, so letters cancel only at the seam."""
-
-    @classmethod
-    def of(cls, f: FStarElement) -> "_SlotWords":
-        return cls(
-            (slot, w.letters) for slot, w in enumerate(f.components, start=1)
-            if w.letters
-        )
-
-    def __mul__(self, other: "_SlotWords") -> "_SlotWords":
-        return _prod(self, other)
-
-    def __str__(self) -> str:
-        """The ``FStarElement`` text: ``1: x, 4: x^-1``, or ``1``."""
-        return ", ".join(
-            f"{slot}: {ReducedWord._trusted(self[slot])}" for slot in sorted(self)
-        ) or "1"
-
-
-def _prod(*factors: _SlotWords) -> _SlotWords:
-    """The product of the factors, left to right.  Only the first factor is
-    copied; every factor is left as it was."""
-    out = _SlotWords(factors[0])
+def _mul(first: dict, *rest: dict) -> dict:
+    """The product, left to right, of sparse elements of the product of free
+    groups (slot -> nonempty reduced tuple of letter codes, -c the inverse of
+    c), slot by slot with cancellation at the seam; the factors are kept."""
+    out = dict(first)
     get = out.get
-    for other in factors[1:]:
+    for other in rest:
         for slot, b in other.items():
             a = get(slot)
             if a is None:
                 out[slot] = b
-                continue
-            k, m = len(a), 0
-            while k and m < len(b) and a[k - 1][0] == b[m][0] and a[k - 1][1] == -b[m][1]:
-                k -= 1
-                m += 1
-            if k or m < len(b):
-                out[slot] = a[:k] + b[m:]
+            elif a[-1] != -b[0]:
+                out[slot] = a + b
             else:
-                del out[slot]
+                k, m = len(a) - 1, 1
+                while k and m < len(b) and a[k - 1] == -b[m]:
+                    k -= 1
+                    m += 1
+                if k or m < len(b):
+                    out[slot] = a[:k] + b[m:]
+                else:
+                    del out[slot]
     return out
 
 
-class _Generators(dict):
-    """The suite's generator cache: (chord, i, j) -> the sparse normal form
-    ``mu`` gives for x_{ij} on n slots, computed on first use."""
+def _encode(f: FStarElement, codes: dict[str, int]) -> dict[int, tuple[int, ...]]:
+    """f on its nonidentity slots, x^e coded as e times the code of x; a new
+    letter gets the next code from 1."""
+    return {slot: tuple(codes.setdefault(x, len(codes) + 1) * e for x, e in w.letters)
+            for slot, w in enumerate(f.components, start=1) if w.letters}
 
-    def __init__(self, n: int):
-        super().__init__()
-        self.n = n
 
-    def __missing__(self, key: tuple[str, int, int]) -> _SlotWords:
-        value = self[key] = _SlotWords.of(mu(AGenerator(*key), self.n))
-        return value
+def _decode(element: dict[int, tuple[int, ...]], codes: dict[str, int]) -> str:
+    """The ``FStarElement`` text of a sparse element: ``1: x, 4: x^-1`` or ``1``."""
+    letter = {e * c: (x, e) for x, c in codes.items() for e in (1, -1)}
+    return ", ".join(f"{slot}: {ReducedWord._trusted(tuple(map(letter.get, word)))}"
+                     for slot, word in sorted(element.items())) or "1"
+
+
+def _trial_draws(rng: random.Random, n: int, chords: Sequence[str], trials: int):
+    """Per trial, ``(i, j, k, l, x, y, z, u, v, w)``: what ``rng.sample(range(1,
+    n + 1), 4)`` and six ``rng.choice(chords)`` return in CPython.  For n <= 21
+    the sample takes its pool path, drawn here from ``rng.getrandbits``."""
+    draw, k_bits = rng.getrandbits, len(chords).bit_length()
+    spans = [(m, m.bit_length()) for m in range(n, n - 4, -1)]
+    for _ in range(trials):
+        if n > 21:
+            picks = rng.sample(range(1, n + 1), 4)
+        else:
+            pool, picks = list(range(1, n + 1)), []
+            for m, bits in spans:
+                r = draw(bits)
+                while r >= m:
+                    r = draw(bits)
+                picks.append(pool[r])
+                pool[r] = pool[m - 1]
+        yield (*picks, *_choices(draw, chords, k_bits, 6))
 
 
 def identity_suite(seed: int, n: int, t: int, trials: int) -> OracleReport:
@@ -282,45 +275,44 @@ def identity_suite(seed: int, n: int, t: int, trials: int) -> OracleReport:
     generators on disjoint slot sets (bare and conjugated, both ways), the
     three triple-exchange laws behind the braid relations, and the
     four-slot fork-exchange law.  Each generator is the normal form ``mu``
-    gives, kept on its nonidentity slots only.  Results are a pure
-    function of the arguments.
+    gives, integer-coded.  Results are a pure function of the arguments.
     """
     if t < 1 or n < 4:
         raise ValueError(f"need t >= 1 and n >= 4, got t={t} n={n}")
-    rng = random.Random(seed)
     chords = [f"x{k}" for k in range(1, t + 1)]
     report = OracleReport(f"identity-suite(seed={seed},n={n},t={t})")
-    gen = _Generators(n)
-    one = _SlotWords()
-    draw, k_bits = rng.getrandbits, t.bit_length()
-    for _ in range(trials):
-        i, j, k, l = rng.sample(range(1, n + 1), 4)
-        x, y, z, u, v, w = _choices(draw, chords, k_bits, 6)
-        a, b = gen[x, i, j], gen[y, k, l]
-        conj = _prod(gen[z, i, k], b, gen[z, k, i])
-        conj_inv = _prod(gen[z, k, i], b, gen[z, i, k])
+    codes, cache = {}, {}  # letter -> code; (chord, i, j) -> encoded x_{ij}
+    draws = _trial_draws(random.Random(seed), n, chords, trials)
+    for i, j, k, l, x, y, z, u, v, w in draws:
+        keys = ((x, i, i), (x, i, j), (x, j, k), (x, i, k), (x, k, j), (x, j, i),
+                (x, k, i), (y, k, l), (y, k, i), (y, j, i), (y, k, j), (y, i, k),
+                (y, i, j), (y, j, k), (z, i, k), (z, k, i), (u, l, i), (u, j, l),
+                (u, k, i), (u, j, k), (v, i, j), (w, l, k))
+        for key in keys:
+            if key not in cache:
+                cache[key] = _encode(mu(AGenerator(*key), n), codes)
+        (x_ii, a, x_jk, x_ik, x_kj, x_ji, x_ki, b, y_ki, y_ji, y_kj, y_ik, y_ij, y_jk,
+         z_ik, z_ki, u_li, u_jl, u_ki, u_jk, v_ij, w_lk) = map(cache.__getitem__, keys)
+        conj, conj_inv = _mul(z_ik, b, z_ki), _mul(z_ki, b, z_ik)
         sides = (
-            ("unit-diagonal", gen[x, i, i], one),
-            ("chain", _prod(a, gen[x, j, k]), gen[x, i, k]),
-            ("reverse-chain", _prod(gen[x, j, k], a), gen[x, i, k]),
-            ("disjoint-commute", _prod(a, b), _prod(b, a)),
-            ("conjugated-commute", _prod(a, conj), _prod(conj, a)),
-            ("conjugated-commute-inv", _prod(a, conj_inv), _prod(conj_inv, a)),
-            ("triple-exchange-a", _prod(gen[x, j, k], gen[y, k, i], a),
-             _prod(gen[y, j, i], gen[x, i, k], gen[y, k, j])),
-            ("triple-exchange-b", _prod(gen[x, j, k], gen[y, i, k], a),
-             _prod(gen[y, i, j], gen[x, i, k], gen[y, j, k])),
-            ("triple-exchange-c", _prod(gen[x, k, j], gen[y, i, k], gen[x, j, i]),
-             _prod(gen[y, i, j], gen[x, k, i], gen[y, j, k])),
-            ("fork-exchange",
-             _prod(gen[u, l, i], gen[v, i, j], gen[u, j, l], gen[w, l, k]),
-             _prod(gen[w, l, k], gen[u, k, i], gen[v, i, j], gen[u, j, k])),
+            ("unit-diagonal", x_ii, {}),
+            ("chain", _mul(a, x_jk), x_ik),
+            ("reverse-chain", _mul(x_jk, a), x_ik),
+            ("disjoint-commute", _mul(a, b), _mul(b, a)),
+            ("conjugated-commute", _mul(a, conj), _mul(conj, a)),
+            ("conjugated-commute-inv", _mul(a, conj_inv), _mul(conj_inv, a)),
+            ("triple-exchange-a", _mul(x_jk, y_ki, a), _mul(y_ji, x_ik, y_kj)),
+            ("triple-exchange-b", _mul(x_jk, y_ik, a), _mul(y_ij, x_ik, y_jk)),
+            ("triple-exchange-c", _mul(x_kj, y_ik, x_ji), _mul(y_ij, x_ki, y_jk)),
+            ("fork-exchange", _mul(u_li, v_ij, u_jl, w_lk),
+             _mul(w_lk, u_ki, v_ij, u_jk)),
         )
         report.checks_run += len(sides)
         for check_id, lhs, rhs in sides:
             if lhs != rhs:
                 inputs = f"i={i} j={j} k={k} l={l} x={x} y={y} z={z} u={u} v={v} w={w}"
-                report.failures.append((check_id, inputs, str(rhs), str(lhs)))
+                report.failures.append(
+                    (check_id, inputs, _decode(rhs, codes), _decode(lhs, codes)))
     return report
 
 
@@ -342,19 +334,23 @@ def random_words(rng: random.Random, labels: Sequence[str], count: int,
     """``count`` uniform random words of uniform random length 0..max_len,
     the same stream as ``rng.randrange(max_len + 1)`` for each length and
     then ``rng.choice(labels)`` for each letter."""
+    return list(_word_stream(rng, labels, count, max_len))
+
+
+def _word_stream(rng: random.Random, labels: Sequence[str], count: int,
+                 max_len: int = 16):
+    """The words of ``random_words``, each drawn when it is asked for."""
     if max_len < 0:
         raise ValueError("empty range for randrange()")
     draw, span, size = rng.getrandbits, max_len + 1, len(labels)
     k_len, k = span.bit_length(), size.bit_length()
-    words = []
     for _ in range(count):
         length = draw(k_len)
         while length >= span:
             length = draw(k_len)
         if length and not size:
             raise IndexError("cannot draw a letter from no labels")
-        words.append(tuple(_choices(draw, labels, k, length)))
-    return words
+        yield tuple(_choices(draw, labels, k, length))
 
 
 def random_word(rng: random.Random, labels: Sequence[str],
@@ -383,9 +379,10 @@ def parabolic_check(ctx: Context, sub_labels: Iterable[str], samples: int,
     outer_kind = (VerdictKind.NONTRIVIAL.value, (
         VerdictKind.TRIVIAL_IN_QUOTIENT if ctx.is_k4 else VerdictKind.TRIVIAL
     ).value)
-    words = random_words(rng, sub_labels, samples)
-    report = OracleReport(f"parabolic({','.join(sub_labels)},seed={seed})", len(words))
-    for w in words:
+    report = OracleReport(f"parabolic({','.join(sub_labels)},seed={seed})",
+                          max(samples, 0))
+    # One word at a time, so memory does not grow with the sample count.
+    for w in _word_stream(rng, sub_labels, samples):
         inner = trivial_image(sub_ctx, w)
         if inner != trivial_image(ctx, w):
             report.failures.append((

@@ -5,6 +5,7 @@ A plain module, not a conftest: test modules import from it directly.
 
 from typing import Sequence
 
+from coxgraph.graphs import Graph
 from coxgraph.perms import Permutation, compose
 
 
@@ -30,3 +31,24 @@ def bfs_group_order(gens: Sequence[Permutation], limit: int = 10**6) -> int:
                         raise OverflowError(f"group order exceeds guard {limit}")
         frontier = nxt
     return len(seen)
+
+
+def components_by_walk(g: Graph) -> list[tuple[int, ...]]:
+    """Connected components by a depth-first walk from every vertex not yet
+    seen: each sorted, in order of their smallest vertex."""
+    seen: set[int] = set()
+    comps = []
+    for start in g.vertices():
+        if start in seen:
+            continue
+        stack, comp = [start], []
+        seen.add(start)
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for w, _ in g.neighbors(v):
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        comps.append(tuple(sorted(comp)))
+    return comps

@@ -34,6 +34,7 @@ from coxgraph.graphs import (
 from coxgraph.oracle import parabolic_check
 from coxgraph.presentation import relators
 
+from reference import components_by_walk
 from strategies import random_connected_graphs
 
 # ---------------------------------------------------------------- oracles
@@ -200,6 +201,30 @@ def test_components_k4():
     assert len(connected_components(complete4())) == 1
 
 
+def test_components_match_walk_on_corpus(corpus_graphs):
+    for name, g in corpus_graphs.items():
+        assert connected_components(g) == components_by_walk(g) == [
+            tuple(g.vertices())], name
+
+
+def _with_edges_dropped(data):
+    """A random connected graph with a random subset of its edges dropped,
+    on its original vertex set."""
+    g = data.draw(random_connected_graphs())
+    keep = data.draw(st.lists(st.booleans(), min_size=len(g.edges),
+                              max_size=len(g.edges)))
+    return Graph(g.n, [(e.label, e.a, e.b) for e, k in zip(g.edges, keep) if k])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_components_match_walk(data):
+    """The union-find components equal a plain depth-first walk's, isolated
+    vertices and their order included."""
+    h = _with_edges_dropped(data)
+    assert connected_components(h) == components_by_walk(h)
+
+
 def test_huge_vertex_id_allocates_nothing_per_vertex():
     """A graph file naming vertex 10^6 on one edge is rejected as
     disconnected without memory for every vertex."""
@@ -222,7 +247,7 @@ def test_huge_vertex_id_allocates_nothing_per_vertex():
 
 def test_isolated_vertex_disconnects():
     g = parse_graph("1 3 a\n3 4 b")  # vertex 2 is never mentioned as endpoint
-    assert (2,) in connected_components(g)
+    assert connected_components(g) == [(1, 3, 4), (2,)]
     with pytest.raises(DisconnectedError):
         spanning_tree(g)
 
@@ -258,12 +283,9 @@ def test_disconnected_error_has_one_text(call):
 @given(st.data())
 def test_is_connected_agrees_with_components(data):
     """Random edges dropped from a connected graph: is_connected and
-    spanning_tree agree with the component walk."""
-    g = data.draw(random_connected_graphs())
-    keep = data.draw(st.lists(st.booleans(), min_size=len(g.edges),
-                              max_size=len(g.edges)))
-    h = Graph(g.n, [(e.label, e.a, e.b) for e, k in zip(g.edges, keep) if k])
-    connected = len(connected_components(h)) == 1
+    spanning_tree agree with a plain component walk."""
+    h = _with_edges_dropped(data)
+    connected = len(components_by_walk(h)) == 1
     assert is_connected(h) == connected
     if connected:
         assert len(spanning_tree(h).tree_edges) == h.n - 1

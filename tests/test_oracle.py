@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -358,64 +359,88 @@ def test_identity_suite_failure_transcript(monkeypatch):
     assert report.render() == EXPECTED_MU_FAILURES
 
 
+def _random_fstar(rng, n):
+    return FStarElement(tuple(
+        reduce((rng.choice("xy"), rng.choice((1, -1)))
+               for _ in range(rng.randrange(4)))
+        for _ in range(n)
+    ))
+
+
 def test_slot_words_render_like_fstar():
+    """Integer-coded elements decode to the ``FStarElement`` text."""
+    codes = {}
     f = mu(AGenerator("x", 1, 4), 5)
-    assert str(oracle._SlotWords.of(f)) == str(f) == "1: x, 4: x^-1"
-    assert str(oracle._SlotWords()) == "1"
+    assert oracle._decode(oracle._encode(f, codes), codes) == str(f) == "1: x, 4: x^-1"
+    assert codes == {"x": 1}
+    assert oracle._decode({}, codes) == "1"
+    rng = random.Random(7)
+    for _ in range(500):
+        f = _random_fstar(rng, 5)
+        assert oracle._decode(oracle._encode(f, codes), codes) == str(f)
+    assert codes == {"x": 1, "y": 2}
 
 
 def test_slot_words_product_matches_fstar_mul():
-    """The suite's own slotwise product agrees with freeprod's, cancelling
-    whole slots away too."""
+    """The suite's own slotwise product of integer-coded elements agrees
+    with freeprod's, cancelling whole slots away too."""
     rng = random.Random(12)
-
-    def element(n):
-        return FStarElement(tuple(
-            reduce((rng.choice("xy"), rng.choice((1, -1)))
-                   for _ in range(rng.randrange(4)))
-            for _ in range(n)
-        ))
-
-    sparse = oracle._SlotWords.of
+    codes = {}
+    cancelled = 0
     for _ in range(2000):
-        p, q = element(4), element(4)
+        p, q = _random_fstar(rng, 4), _random_fstar(rng, 4)
         if rng.random() < 0.3:
             q = FStarElement(tuple(w.inverse() for w in p.components))
-        assert sparse(p) * sparse(q) == sparse(fstar_mul(p, q))
+        product = oracle._mul(oracle._encode(p, codes), oracle._encode(q, codes))
+        assert product == oracle._encode(fstar_mul(p, q), codes)
+        assert oracle._decode(product, codes) == str(fstar_mul(p, q))
+        cancelled += not product and p != FStarElement.identity(4)
+    assert cancelled > 100
 
 
 def test_nary_product_matches_chained_products():
-    """``_prod`` of k factors equals the chain of binary products and the
+    """``_mul`` of k factors equals the chain of binary products and the
     ``fstar_mul`` fold, whole slots cancelling away included, and leaves
     every factor as it was."""
     rng = random.Random(31)
-
-    def element():
-        return FStarElement(tuple(
-            reduce((rng.choice("xy"), rng.choice((1, -1)))
-                   for _ in range(rng.randrange(4)))
-            for _ in range(5)
-        ))
-
-    sparse = oracle._SlotWords.of
+    codes = {}
     cancelled = 0
     for _ in range(1500):
-        dense = [element() for _ in range(rng.randrange(1, 6))]
+        dense = [_random_fstar(rng, 5) for _ in range(rng.randrange(1, 6))]
         if rng.random() < 0.4:
             at = rng.randrange(1, len(dense) + 1)
             undo = tuple(w.inverse() for w in dense[at - 1].components)
             dense.insert(at, FStarElement(undo))
-        factors = [sparse(f) for f in dense]
+        factors = [oracle._encode(f, codes) for f in dense]
         before = [dict(f) for f in factors]
         chained, fold = factors[0], dense[0]
         for f, g in zip(factors[1:], dense[1:]):
-            chained, fold = chained * f, fstar_mul(fold, g)
-        product = oracle._prod(*factors)
-        assert product == chained == sparse(fold)
-        assert [dict(f) for f in factors] == before
+            chained, fold = oracle._mul(chained, f), fstar_mul(fold, g)
+        product = oracle._mul(*factors)
+        assert product == chained == oracle._encode(fold, codes)
+        assert factors == before
         assert product is not factors[0]
         cancelled += len(product) < max(len(f) for f in factors)
     assert cancelled > 100
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 5, 8])
+def test_trial_draws_match_sample_and_choice(t):
+    """The suite's inline draws are what ``rng.sample`` of four slots and
+    then six ``rng.choice`` of a chord return, on both of ``sample``'s
+    paths (n up to 21 and above), and leave the generator in the same
+    state."""
+    chords = [f"x{k}" for k in range(1, t + 1)]
+    for n in range(4, 31):
+        for seed in range(100):
+            ours, plain = random.Random(seed), random.Random(seed)
+            expected = [
+                (*plain.sample(range(1, n + 1), 4),
+                 *(plain.choice(chords) for _ in range(6)))
+                for _ in range(30)
+            ]
+            assert list(oracle._trial_draws(ours, n, chords, 30)) == expected, (n, seed)
+            assert ours.getstate() == plain.getstate(), (n, seed)
 
 
 def test_identity_suite_rejects_bad_parameters():
@@ -551,6 +576,26 @@ def test_parabolic_failure_text():
         f"  verdict-agreement: {words[1]}: expected trivial, got nontrivial",
         f"  verdict-agreement: {words[2]}: expected nontrivial, got quotient",
     ])
+
+
+def test_parabolic_memory_does_not_grow_with_samples(corpus_contexts):
+    """Words are drawn and checked one at a time, so 20,000 samples peak
+    within 64 KB of 200."""
+    ctx = corpus_contexts["p3"]
+    sub = sorted(ctx.tree.tree_edges)
+    parabolic_check(ctx, sub, 10, 1)
+
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            report = parabolic_check(ctx, sub, samples, 1)
+            _, top = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.ok and report.checks_run == samples
+        return top
+
+    assert peak(20_000) - peak(200) < 64 * 1024
 
 
 def test_parabolic_rejects_disconnected(corpus_contexts):
