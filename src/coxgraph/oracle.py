@@ -190,20 +190,29 @@ class _Level:
 def ab_rank(rows: Sequence[Mapping]) -> int:
     """Integer rank of exponent vectors via fraction-free elimination."""
     keys = sorted({k for row in rows for k in row})
-    m = [[row.get(k, 0) for k in keys] for row in rows]
-    height, prev, r = len(m), 1, 0
-    for c in range(len(keys)):
-        piv = next((i for i in range(r, height) if m[i][c] != 0), None)
+    mat = [[row.get(k, 0) for k in keys] for row in rows]
+    return _integer_rank(mat)
+
+
+def _integer_rank(mat: list[list[int]]) -> int:
+    if not mat or not mat[0]:
+        return 0
+    m = [row[:] for row in mat]
+    rows, cols = len(m), len(m[0])
+    prev = 1
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, height):
-            for j in range(c + 1, len(keys)):
+        for i in range(r + 1, rows):
+            for j in range(c + 1, cols):
                 m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
             m[i][c] = 0
         prev = m[r][c]
         r += 1
-        if r == height:
+        if r == rows:
             break
     return r
 
@@ -248,23 +257,11 @@ def _decode(element: dict[int, tuple[int, ...]], codes: dict[str, int]) -> str:
 
 
 def _trial_draws(rng: random.Random, n: int, chords: Sequence[str], trials: int):
-    """Per trial, ``(i, j, k, l, x, y, z, u, v, w)``: what ``rng.sample(range(1,
-    n + 1), 4)`` and six ``rng.choice(chords)`` return in CPython.  For n <= 21
-    the sample takes its pool path, drawn here from ``rng.getrandbits``."""
-    draw, k_bits = rng.getrandbits, len(chords).bit_length()
-    spans = [(m, m.bit_length()) for m in range(n, n - 4, -1)]
+    """Per trial, ``(i, j, k, l, x, y, z, u, v, w)``: ``rng.sample(range(1,
+    n + 1), 4)`` and then what six ``rng.choice(chords)`` return."""
+    draw, k_bits, slots = rng.getrandbits, len(chords).bit_length(), range(1, n + 1)
     for _ in range(trials):
-        if n > 21:
-            picks = rng.sample(range(1, n + 1), 4)
-        else:
-            pool, picks = list(range(1, n + 1)), []
-            for m, bits in spans:
-                r = draw(bits)
-                while r >= m:
-                    r = draw(bits)
-                picks.append(pool[r])
-                pool[r] = pool[m - 1]
-        yield (*picks, *_choices(draw, chords, k_bits, 6))
+        yield (*rng.sample(slots, 4), *_choices(draw, chords, k_bits, 6))
 
 
 def identity_suite(seed: int, n: int, t: int, trials: int) -> OracleReport:

@@ -426,13 +426,12 @@ def test_nary_product_matches_chained_products():
 
 @pytest.mark.parametrize("t", [1, 2, 3, 5, 8])
 def test_trial_draws_match_sample_and_choice(t):
-    """The suite's inline draws are what ``rng.sample`` of four slots and
-    then six ``rng.choice`` of a chord return, on both of ``sample``'s
-    paths (n up to 21 and above), and leave the generator in the same
-    state."""
+    """The suite's chords come from ``_choices``, so its draws must be what
+    ``rng.sample`` of four slots and then six ``rng.choice`` of a chord
+    return, leaving the generator in the same state."""
     chords = [f"x{k}" for k in range(1, t + 1)]
-    for n in range(4, 31):
-        for seed in range(100):
+    for n in (4, 5, 9, 21, 22, 30):
+        for seed in range(20):
             ours, plain = random.Random(seed), random.Random(seed)
             expected = [
                 (*plain.sample(range(1, n + 1), 4),
