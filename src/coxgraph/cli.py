@@ -230,23 +230,23 @@ def _print_verdict(ctx: Context, verdict, porcelain: bool) -> int:
 
 def _cmd_solve(args) -> int:
     ctx = _load_context(args.file)
-    word = parse_word(args.word)
-    _require_labels(ctx, word)
-    return _print_verdict(ctx, is_trivial(ctx, word), args.porcelain)
+    return _print_verdict(ctx, is_trivial(ctx, parse_word(args.word)), args.porcelain)
 
 
 def _cmd_equal(args) -> int:
     ctx = _load_context(args.file)
     w1, w2 = parse_word(args.word1), parse_word(args.word2)
-    _require_labels(ctx, w1 + w2)
-    return _print_verdict(ctx, equal(ctx, w1, w2), args.porcelain)
+    try:
+        verdict = equal(ctx, w1, w2)
+    except UnknownLabelError:
+        _require_labels(ctx, w1 + w2)  # name the first unknown in reading order
+        raise
+    return _print_verdict(ctx, verdict, args.porcelain)
 
 
 def _cmd_kernel(args) -> int:
     ctx = _load_context(args.file)
-    word = parse_word(args.word)
-    _require_labels(ctx, word)
-    g = phi(ctx, word)
+    g = phi(ctx, parse_word(args.word))
     member = g.perm.is_identity()
     if args.porcelain:
         print(f"kernel={str(member).lower()}")

@@ -147,8 +147,20 @@ def phi(ctx: Context, w: Iterable[str]) -> SemidirectElement:
 
 
 def trivial_image(ctx: Context, w: Iterable[str]) -> bool:
-    """Whether ``phi`` of the word is the identity, decided from the
-    evaluator state without building the element."""
+    """Whether ``phi`` of the word is the identity, decided without building
+    the element: first the permutation alone, through ``_run``'s step table
+    (if it moves, the slots cannot matter), then the evaluator state."""
+    w = tuple(w)
+    steps = ctx.steps
+    where = ctx.home.copy()
+    for label in w:
+        try:
+            a, b, _, _ = steps[label]
+        except KeyError:
+            raise UnknownLabelError(label) from None
+        where[a], where[b] = where[b], where[a]
+    if where != ctx.home:
+        return False
     where, slots = _run(ctx, w)
     return where == ctx.home and not any(slots)
 

@@ -2,9 +2,9 @@
 
 Everything here cross-checks the main maps without trusting them: relator
 images are evaluated letter by letter, group orders come from a
-Schreier-Sims stabilizer chain, ranks from fraction-free integer
-elimination, and the algebraic identities from explicit normal-form
-arithmetic.  All randomness is seeded so every failure is replayable.
+Schreier-Sims stabilizer chain, ranks from exact sparse elimination, and
+the algebraic identities from explicit normal-form arithmetic.  All
+randomness is seeded so every failure is replayable.
 """
 
 from __future__ import annotations
@@ -187,34 +187,28 @@ class _Level:
         self.inverses[x] = tuple(inv)
 
 
-def ab_rank(rows: Sequence[Mapping]) -> int:
-    """Integer rank of exponent vectors via fraction-free elimination."""
-    keys = sorted({k for row in rows for k in row})
-    mat = [[row.get(k, 0) for k in keys] for row in rows]
-    return _integer_rank(mat)
-
-
-def _integer_rank(mat: list[list[int]]) -> int:
-    if not mat or not mat[0]:
-        return 0
-    m = [row[:] for row in mat]
-    rows, cols = len(m), len(m[0])
-    prev = 1
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
-                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
-        r += 1
-        if r == rows:
-            break
-    return r
+def ab_rank(rows: Iterable[Mapping]) -> int:
+    """Rank over Q of sparse integer rows (sortable key -> entry), by exact
+    elimination: a row is reduced at its smallest key c to ``a·row − b·pivot``
+    over its content (a, b the entries at c of c's pivot row and the row)
+    until it vanishes or c has no pivot row, whose row it becomes.  Leading
+    keys rise and a ≠ 0, so the rank is the number of pivot rows."""
+    pivots: dict = {}
+    for row in rows:
+        row = {k: v for k, v in row.items() if v}
+        while row:
+            c = min(row)
+            pivot = pivots.get(c)
+            if pivot is None:
+                pivots[c] = row
+                break
+            a, b = pivot[c], row[c]
+            row = {k: a * v for k, v in row.items()}
+            for k, v in pivot.items():
+                row[k] = row.get(k, 0) - b * v
+            content = math.gcd(*row.values())
+            row = {k: v // content for k, v in row.items() if v}
+    return len(pivots)
 
 
 def _mul(first: dict, *rest: dict) -> dict:

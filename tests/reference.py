@@ -52,3 +52,28 @@ def components_by_walk(g: Graph) -> list[tuple[int, ...]]:
                     stack.append(w)
         comps.append(tuple(sorted(comp)))
     return comps
+
+
+def integer_rank(mat: list[list[int]]) -> int:
+    """Rank of a dense integer matrix by fraction-free (Bareiss)
+    elimination: every division is exact, so no fractions arise."""
+    if not mat or not mat[0]:
+        return 0
+    m = [row[:] for row in mat]
+    rows, cols = len(m), len(m[0])
+    prev = 1
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        for i in range(r + 1, rows):
+            for j in range(c + 1, cols):
+                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
+            m[i][c] = 0
+        prev = m[r][c]
+        r += 1
+        if r == rows:
+            break
+    return r

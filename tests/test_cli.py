@@ -88,6 +88,15 @@ def test_equal_unknown_label_exits_1(files, capsys):
     assert err == "error: unknown edge label 'zz'\n"
 
 
+def test_equal_names_first_unknown_label_in_reading_order(files, capsys):
+    """``equal`` evaluates w1 then w2 reversed, so it meets 'q' first; the
+    error still names the first unknown label as the words are written."""
+    code, out, err = invoke(capsys, "equal", files["triangle"], "a b", "zz c q")
+    assert code == 1
+    assert out == ""
+    assert err == "error: unknown edge label 'zz'\n"
+
+
 def test_internal_key_error_is_not_a_user_error(files, monkeypatch):
     """Only an unknown label is a user error; any other KeyError is a bug
     and must surface, not exit 1."""

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coxgraph import embedding
 from coxgraph.corpus import complete4, cycle_graph, path_graph, sixpts_graph
 from coxgraph.embedding import (
     Classification,
@@ -233,6 +234,43 @@ def test_trivial_image_matches_phi_on_random_graphs(data):
     for w in _words(rng, g.labels):
         assert trivial_image(ctx, w) == phi(ctx, w).is_identity()
         assert trivial_image(ctx, w + reverse_word(w))
+
+
+def test_trivial_image_reads_a_one_shot_word(corpus_contexts):
+    """The word is read twice when its permutation is the identity; a
+    generator, which can be read once, still gets phi's verdict, also on
+    nontrivial kernel words."""
+    rng = random.Random(31)
+    for name, ctx in corpus_contexts.items():
+        words = _words(rng, ctx.graph.labels) + list(relators(ctx.graph, "coxy").relators)
+        words += [psi_gen(ctx, AGenerator(x, 1, 2)) for x in ctx.chords]
+        for w in words:
+            assert trivial_image(ctx, iter(w)) == phi(ctx, w).is_identity(), (name, w)
+
+
+def test_trivial_image_runs_only_words_that_fix_every_vertex(sixpts_ctx, monkeypatch):
+    """A word whose permutation moves is decided without the slot stacks."""
+    calls, real_run = [], embedding._run
+
+    def counting_run(ctx, w):
+        calls.append(w)
+        return real_run(ctx, w)
+
+    monkeypatch.setattr(embedding, "_run", counting_run)
+    rng = random.Random(37)
+    labels = sixpts_ctx.graph.labels
+    moving = fixing = 0
+    for _ in range(300):
+        w = tuple(random_word(rng, labels, 12))
+        calls.clear()
+        verdict = trivial_image(sixpts_ctx, w)
+        if perm_of_word(sixpts_ctx.graph, w).is_identity():
+            fixing += 1
+            assert calls == [w]
+        else:
+            moving += 1
+            assert not verdict and calls == []
+    assert moving and fixing
 
 
 def test_trivial_image_unknown_label(triangle_ctx):

@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from coxgraph import oracle
+from coxgraph import embedding, oracle
 from coxgraph.corpus import cycle_graph, path_graph, sixpts_graph
 from coxgraph.embedding import build_context, is_trivial, kernel_generator_parts
 from coxgraph.freeprod import (
@@ -22,6 +22,7 @@ from coxgraph.oracle import (
     OracleReport,
     ab_rank,
     check_relators,
+    full_suite,
     group_order,
     identity_suite,
     parabolic_check,
@@ -30,7 +31,7 @@ from coxgraph.oracle import (
 )
 from coxgraph.perms import Permutation, compose
 from coxgraph.presentation import AGenerator, mu, relators
-from reference import bfs_group_order
+from reference import bfs_group_order, integer_rank
 
 
 # ---------------------------------------------------------- check_relators
@@ -97,6 +98,23 @@ def test_relator_failure_text():
         "  semidirect-image: a x a x a x: expected identity, "
         "got () | 1: x x x, 2: x^-1 x^-1 x^-1"
     )
+
+
+def test_corrupted_where_fails_relators(monkeypatch):
+    """A relator's permutation is the identity, so its verdict comes from
+    the evaluator state; a ``where`` corrupted there must still fail."""
+    real_run = embedding._run
+
+    def corrupted_run(ctx, w):
+        where, slots = real_run(ctx, w)
+        where[0], where[1] = where[1], where[0]
+        return where, slots
+
+    monkeypatch.setattr(embedding, "_run", corrupted_run)
+    report = check_relators(build_context(sixpts_graph()))
+    assert not report.ok
+    assert {f[0] for f in report.failures} == {"semidirect-image"}
+    assert len(report.failures) == len(relators(sixpts_graph(), "coxy").relators)
 
 
 def test_report_rendering():
@@ -243,6 +261,65 @@ def test_rank_needs_no_floats():
         {1: 9, 2: 21, 3: 6},
     ]
     assert ab_rank(rows) == 2
+
+
+def _random_rank_case(rng):
+    """Sparse rows and the same rows as a dense matrix: no rows at all,
+    small entries, many zeros (some stored explicitly), and rows that are
+    integer combinations of earlier ones; keys are (label, slot) pairs as
+    in the kernel rows."""
+    cols = rng.randint(1, 7)
+    keys = [(rng.choice("xyz"), slot) for slot in range(1, cols + 1)]
+    dense = []
+    for _ in range(rng.randint(0, 7)):
+        if dense and rng.random() < 0.4:
+            coeffs = [rng.randint(-2, 2) for _ in dense]
+            dense.append([sum(c * r[j] for c, r in zip(coeffs, dense))
+                          for j in range(cols)])
+        else:
+            dense.append([rng.choice((0, 0, 0, 1, -1, 2, -3, 5)) for _ in range(cols)])
+    sparse = []
+    for r in dense:
+        order = list(range(cols))
+        rng.shuffle(order)
+        sparse.append({keys[j]: r[j] for j in order if r[j] or rng.random() < 0.3})
+    return sparse, dense
+
+
+def test_rank_matches_dense_reference():
+    rng = random.Random(41)
+    for _ in range(3000):
+        sparse, dense = _random_rank_case(rng)
+        assert ab_rank(sparse) == integer_rank(dense), dense
+
+
+def _large_graph(n, t, seed):
+    """A seeded random connected graph: tree edges t01.. from each vertex
+    to an earlier one, then t chords x01.. on pairs not yet joined, so the
+    minimum-label spanning tree is the t-edges."""
+    rng = random.Random(seed)
+    lines, pairs = [], set()
+    for v in range(2, n + 1):
+        u = rng.randint(1, v - 1)
+        pairs.add((u, v))
+        lines.append(f"{u} {v} t{v - 1:02d}")
+    free = sorted({(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)} - pairs)
+    for k, (u, v) in enumerate(rng.sample(free, t), start=1):
+        lines.append(f"{u} {v} x{k:02d}")
+    return parse_graph("\n".join(lines))
+
+
+def test_full_suite_on_large_graph():
+    """n=40, t=30: the kernel rows span 1170 dimensions, which a dense
+    elimination takes over a minute to confirm."""
+    ctx = build_context(_large_graph(40, 30, 40))
+    assert (ctx.n, ctx.t) == (40, 30)
+    reports = full_suite(ctx, 1, 20)
+    assert all(r.ok for r in reports), [r.render() for r in reports if not r.ok]
+    rank = next(r for r in reports if r.name == "kernel-rank")
+    assert rank.checks_run == 1
+    rows = [component_exponents(f) for f in kernel_generator_parts(ctx)]
+    assert ab_rank(rows) == 1170
 
 
 # ----------------------------------------------------------- identity suite
