@@ -14,6 +14,7 @@ import random
 from collections.abc import Iterable, Mapping, Sequence
 from itertools import repeat
 
+from . import embedding
 from ._record import Record
 from .embedding import (
     Context,
@@ -71,11 +72,13 @@ class OracleReport(Record):
 def check_relators(ctx: Context) -> OracleReport:
     """Every defining relator must die: the fork-quotient relators under the
     semidirect evaluation, the full symmetric-group relators under the bare
-    permutation evaluation.
+    permutation evaluation.  A fork-quotient relator fixes every vertex, so
+    its word is read once, by the evaluator (``embedding._run``).
     """
     report = OracleReport("relators")
     for rel in relators(ctx.graph, "coxy").relators:
-        dies = trivial_image(ctx, rel)
+        where, slots = embedding._run(ctx, rel)
+        dies = where == ctx.home and not any(slots)
         report.record(
             "semidirect-image", " ".join(rel), "identity",
             None if dies else phi(ctx, rel), dies,
@@ -102,6 +105,9 @@ def group_order(gens: Sequence[Permutation]) -> int:
     level from the next one down to the one where its sifting stopped,
     and those levels are completed again, deepest first.  The order is
     then the product of the orbit lengths.
+
+    Each choice of one coset representative per level multiplies to a
+    different group element, so the chain stops once that product is n!.
     """
     if not gens:
         return 1
@@ -114,6 +120,7 @@ def group_order(gens: Sequence[Permutation]) -> int:
     if not top:
         return 1
     levels: list[_Level] = []
+    full = math.factorial(n)
 
     def sift(h: tuple[int, ...], start: int) -> tuple[tuple[int, ...], int]:
         for k in range(start, len(levels)):
@@ -126,7 +133,7 @@ def group_order(gens: Sequence[Permutation]) -> int:
             h = tuple(map(lvl.inverses[x].__getitem__, h))
         return h, len(levels)
 
-    def complete(i: int) -> None:
+    def complete(i: int) -> bool:
         lvl = levels[i]
         while lvl.gens_done < len(lvl.gens) or lvl.points_done < len(lvl.reps):
             orbit = list(lvl.reps)
@@ -145,6 +152,8 @@ def group_order(gens: Sequence[Permutation]) -> int:
                     step = tuple(map(s.__getitem__, rep))
                     if y not in lvl.reps:
                         lvl.add_point(y, step)
+                        if math.prod(len(lv.reps) for lv in levels) == full:
+                            return True
                         continue
                     h, j = sift(tuple(map(lvl.inverses[y].__getitem__, step)), i + 1)
                     if h == ident:
@@ -153,8 +162,9 @@ def group_order(gens: Sequence[Permutation]) -> int:
                         levels.append(_Level(next(p for p in range(n) if h[p] != p), n))
                     for k in range(i + 1, j + 1):
                         levels[k].gens.append(h)
-                    for k in range(j, i, -1):
-                        complete(k)
+                    if any(complete(k) for k in range(j, i, -1)):
+                        return True
+        return False
 
     levels.append(_Level(next(p for p in range(n) if top[0][p] != p), n))
     levels[0].gens.extend(top)
@@ -215,11 +225,10 @@ def _mul(first: dict, *rest: dict) -> dict:
     """The product, left to right, of sparse elements of the product of free
     groups (slot -> nonempty reduced tuple of letter codes, -c the inverse of
     c), slot by slot with cancellation at the seam; the factors are kept."""
-    out = dict(first)
-    get = out.get
+    out = first.copy()
     for other in rest:
         for slot, b in other.items():
-            a = get(slot)
+            a = out.get(slot)
             if a is None:
                 out[slot] = b
             elif a[-1] != -b[0]:
@@ -250,6 +259,17 @@ def _decode(element: dict[int, tuple[int, ...]], codes: dict[str, int]) -> str:
                      for slot, word in sorted(element.items())) or "1"
 
 
+class _Generators(dict):
+    """(chord, i, j) -> x_{ij}'s ``mu``, encoded with ``codes`` on first lookup."""
+
+    def __init__(self, n: int, codes: dict[str, int]):
+        self.n, self.codes = n, codes
+
+    def __missing__(self, key: tuple[str, int, int]) -> dict[int, tuple[int, ...]]:
+        value = self[key] = _encode(mu(AGenerator(*key), self.n), self.codes)
+        return value
+
+
 def _trial_draws(rng: random.Random, n: int, chords: Sequence[str], trials: int):
     """Per trial, ``(i, j, k, l, x, y, z, u, v, w)``: ``rng.sample(range(1,
     n + 1), 4)`` and then what six ``rng.choice(chords)`` return."""
@@ -272,18 +292,15 @@ def identity_suite(seed: int, n: int, t: int, trials: int) -> OracleReport:
         raise ValueError(f"need t >= 1 and n >= 4, got t={t} n={n}")
     chords = [f"x{k}" for k in range(1, t + 1)]
     report = OracleReport(f"identity-suite(seed={seed},n={n},t={t})")
-    codes, cache = {}, {}  # letter -> code; (chord, i, j) -> encoded x_{ij}
+    cache = _Generators(n, {})
     draws = _trial_draws(random.Random(seed), n, chords, trials)
     for i, j, k, l, x, y, z, u, v, w in draws:
-        keys = ((x, i, i), (x, i, j), (x, j, k), (x, i, k), (x, k, j), (x, j, i),
-                (x, k, i), (y, k, l), (y, k, i), (y, j, i), (y, k, j), (y, i, k),
-                (y, i, j), (y, j, k), (z, i, k), (z, k, i), (u, l, i), (u, j, l),
-                (u, k, i), (u, j, k), (v, i, j), (w, l, k))
-        for key in keys:
-            if key not in cache:
-                cache[key] = _encode(mu(AGenerator(*key), n), codes)
         (x_ii, a, x_jk, x_ik, x_kj, x_ji, x_ki, b, y_ki, y_ji, y_kj, y_ik, y_ij, y_jk,
-         z_ik, z_ki, u_li, u_jl, u_ki, u_jk, v_ij, w_lk) = map(cache.__getitem__, keys)
+         z_ik, z_ki, u_li, u_jl, u_ki, u_jk, v_ij, w_lk) = map(cache.__getitem__, (
+            (x, i, i), (x, i, j), (x, j, k), (x, i, k), (x, k, j), (x, j, i),
+            (x, k, i), (y, k, l), (y, k, i), (y, j, i), (y, k, j), (y, i, k),
+            (y, i, j), (y, j, k), (z, i, k), (z, k, i), (u, l, i), (u, j, l),
+            (u, k, i), (u, j, k), (v, i, j), (w, l, k)))
         conj, conj_inv = _mul(z_ik, b, z_ki), _mul(z_ki, b, z_ik)
         sides = (
             ("unit-diagonal", x_ii, {}),
@@ -302,8 +319,8 @@ def identity_suite(seed: int, n: int, t: int, trials: int) -> OracleReport:
         for check_id, lhs, rhs in sides:
             if lhs != rhs:
                 inputs = f"i={i} j={j} k={k} l={l} x={x} y={y} z={z} u={u} v={v} w={w}"
-                report.failures.append(
-                    (check_id, inputs, _decode(rhs, codes), _decode(lhs, codes)))
+                report.failures.append((check_id, inputs, _decode(rhs, cache.codes),
+                                        _decode(lhs, cache.codes)))
     return report
 
 

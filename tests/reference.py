@@ -5,8 +5,10 @@ A plain module, not a conftest: test modules import from it directly.
 
 from typing import Sequence
 
+from coxgraph.freeprod import FStarElement, fstar_mul
 from coxgraph.graphs import Graph
 from coxgraph.perms import Permutation, compose
+from coxgraph.presentation import AGenerator
 
 
 def bfs_group_order(gens: Sequence[Permutation], limit: int = 10**6) -> int:
@@ -31,6 +33,18 @@ def bfs_group_order(gens: Sequence[Permutation], limit: int = 10**6) -> int:
                         raise OverflowError(f"group order exceeds guard {limit}")
         frontier = nxt
     return len(seen)
+
+
+def mu_by_products(gen: AGenerator, n: int) -> FStarElement:
+    """The normal form of x_{ij} as a product of one-letter elements: the
+    chord letter at slot i times its inverse at slot j, checked by the
+    validating constructors; the identity when i = j."""
+    if not (1 <= gen.i <= n and 1 <= gen.j <= n):
+        raise ValueError(f"slots out of range 1..{n}: {gen}")
+    if gen.i == gen.j:
+        return FStarElement.identity(n)
+    return fstar_mul(FStarElement.single(n, gen.i, gen.chord, 1),
+                     FStarElement.single(n, gen.j, gen.chord, -1))
 
 
 def components_by_walk(g: Graph) -> list[tuple[int, ...]]:

@@ -1,3 +1,4 @@
+import json
 import os
 import shlex
 import signal
@@ -482,3 +483,57 @@ def test_readme_cli_examples(capsys, monkeypatch, command, expected):
     code, out, err = invoke(capsys, *shlex.split(command)[1:])
     assert (code, err) == (0, "")
     assert out.splitlines()[:len(expected)] == expected
+
+
+def bench_pairs(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / "bench_pairs.py"),
+                           *args], cwd=ROOT, capture_output=True, text=True,
+                          timeout=300, check=False)
+
+
+def test_bench_pairs_layout(tmp_path):
+    """One short pair of benchmark runs is recorded run by run, with a
+    summary per end-to-end metric; other workloads' entries are kept."""
+    out = tmp_path / "pairs.json"
+    out.write_text('{"wp-grow": {"kept": true}}\n', encoding="utf-8")
+    proc = bench_pairs("--base", ".", "--head", ".", "--workload", "verify-suite",
+                       "--seeds", "1", "--seconds", "0.1", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    recorded = json.loads(out.read_text(encoding="utf-8"))
+    assert recorded["wp-grow"] == {"kept": True}
+    entry = recorded["verify-suite"]
+    assert list(entry) == ["seconds", "pairs", "summary"] and entry["seconds"] == 0.1
+    [pair] = entry["pairs"]
+    assert list(pair) == ["seed", "first", "base", "head"]
+    assert (pair["seed"], pair["first"]) == (1, "base")
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    names = [m["name"] for m in bench["end_to_end"]]
+    for side in ("base", "head"):
+        assert list(pair[side]) == ["failed", "attempted", "metrics", "wall_s"]
+        assert pair[side]["failed"] == 0 < pair[side]["attempted"]
+        assert pair[side]["wall_s"] > 0
+        assert list(pair[side]["metrics"]) == names
+    assert list(entry["summary"]) == names
+    for metric in bench["end_to_end"]:
+        s = entry["summary"][metric["name"]]
+        assert list(s) == ["better", "base", "head", "ratio_median",
+                           "head_better_pairs", "pairs"]
+        assert (s["better"], s["pairs"]) == (metric["better"], 1)
+        base, head = (pair[side]["metrics"][metric["name"]]
+                      for side in ("base", "head"))
+        assert (s["base"]["values"], s["head"]["values"]) == ([base], [head])
+        assert s["ratio_median"] == head / base
+        assert s["head_better_pairs"] == int(
+            head < base if metric["better"] == "lower" else head > base)
+
+
+def test_bench_pairs_fails_on_a_failed_run(tmp_path):
+    """A side that cannot run the benchmark stops the script, which writes
+    nothing."""
+    out = tmp_path / "pairs.json"
+    proc = bench_pairs("--base", str(tmp_path), "--head", ".", "--workload",
+                       "verify-suite", "--seeds", "1", "--seconds", "0.1",
+                       "--out", str(out))
+    assert proc.returncode != 0
+    assert "bench/run.py" in proc.stderr
+    assert not out.exists()

@@ -212,6 +212,33 @@ def test_group_order_matches_bfs():
                     n, [g.images for g in gens])
 
 
+def test_group_order_matches_bfs_on_mixed_sets():
+    """Differential over 300 seeded generating sets on 2..6 points, each a
+    mix of transpositions and random permutations: stopping the chain at
+    n! never changes the order."""
+    rng = random.Random(19)
+    for _ in range(300):
+        n = rng.randint(2, 6)
+        gens = [Permutation.transposition(n, *rng.sample(range(1, n + 1), 2))
+                if rng.random() < 0.5 else Permutation(rng.sample(range(1, n + 1), n))
+                for _ in range(rng.randint(1, 4))]
+        assert group_order(gens) == bfs_group_order(gens), (n, [g.images for g in gens])
+
+
+def test_group_order_below_full_runs_to_the_end():
+    """Groups that are not the full symmetric group never reach n!."""
+    pairs = ((1, 2), (2, 3), (3, 4), (5, 6))
+    s4_x_s2 = [Permutation.transposition(6, a, b) for a, b in pairs]
+    assert group_order(s4_x_s2) == 48
+    a5 = [Permutation.from_cycles(5, [cycle]) for cycle in ((1, 2, 3), (1, 2, 3, 4, 5))]
+    assert group_order(a5) == 60
+
+
+def test_group_order_of_path_on_nine_points():
+    gens = [Permutation.transposition(9, i, i + 1) for i in range(1, 9)]
+    assert group_order(gens) == math.factorial(9)
+
+
 def test_group_order_of_s40():
     gens = [Permutation.transposition(40, i, i + 1) for i in range(1, 40)]
     assert group_order(gens) == math.factorial(40)

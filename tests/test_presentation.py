@@ -21,7 +21,8 @@ from coxgraph.presentation import (
     relators,
     tsaranov_presentation,
 )
-from coxgraph.freeprod import sn_act_f
+from coxgraph.freeprod import ReducedWord, sn_act_f
+from reference import mu_by_products
 
 slots = st.integers(min_value=1, max_value=6)
 perms6 = st.permutations(list(range(1, 7))).map(Permutation)
@@ -47,6 +48,30 @@ def test_mu_out_of_range():
         mu(AGenerator("x", 0, 2), 4)
     with pytest.raises(ValueError):
         mu(AGenerator("x", 1, 7), 6)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_mu_matches_product_construction(n):
+    """The directly built normal form equals the product of one-letter
+    elements for every slot pair, and each slot word is freely reduced."""
+    for chord in ("x", "y12"):
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                got = mu(AGenerator(chord, i, j), n)
+                assert got == mu_by_products(AGenerator(chord, i, j), n)
+                assert all(ReducedWord(w.letters) == w for w in got.components)
+
+
+@pytest.mark.parametrize("i, j, n", [(0, 2, 4), (1, 7, 6), (7, 1, 6), (-1, 3, 5),
+                                     (10, 10, 9)])
+def test_mu_out_of_range_message(i, j, n):
+    gen = AGenerator("x", i, j)
+    with pytest.raises(ValueError) as direct:
+        mu(gen, n)
+    with pytest.raises(ValueError) as reference:
+        mu_by_products(gen, n)
+    expected = f"slots out of range 1..{n}: {gen}"
+    assert str(direct.value) == str(reference.value) == expected
 
 
 @given(slots, slots, slots)
