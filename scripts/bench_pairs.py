@@ -11,12 +11,17 @@ checkout as the working directory: odd seeds run base first, even seeds
 head first, so a drift in machine load falls on both sides.  Runs set
 PYTHONDONTWRITEBYTECODE=1, so every import of coxgraph compiles its source
 and ``setup_s`` follows the size of ``src/``.  Every run's end-to-end
-metrics and wall time are kept.  The summary gives, per
-end-to-end metric of BENCHMARK.json, both sides' median and quartiles
-(``bench/spread.py``'s ``summarize``), the median of the per-pair
-head/base ratios, and the number of pairs in which head is better.  The
-workload's entry in ``--out`` is replaced and the other entries are kept.
-Exits nonzero, writing nothing, if a run fails or reports a failed query.
+metrics and wall time are kept, and each pair's head/base ratio of every
+end-to-end metric is printed.  The summary gives, per end-to-end metric of
+BENCHMARK.json, both sides' median and quartiles (``bench/spread.py``'s
+``summarize``), the median of the per-pair head/base ratios, the number of
+pairs in which head is better (ties count for neither), base's
+interquartile distance, the head-minus-base gap of the medians, whether
+head's median is better by more than that distance, and whether the claim
+rule holds: head better in at least nine tenths of the pairs and by more
+than base's interquartile distance.  The workload's entry in ``--out`` is
+replaced and the other entries are kept.  Exits nonzero, writing nothing,
+if a run fails or reports a failed query.
 """
 
 from __future__ import annotations
@@ -69,10 +74,16 @@ def summary(pairs: list[dict]) -> dict:
         ratios = [h / b for b, h in zip(values["base"], values["head"])]
         wins = sum(h < b if better == "lower" else h > b
                    for b, h in zip(values["base"], values["head"]))
-        out[name] = {"better": better,
-                     **{side: summarize(values[side]) for side in SIDES},
+        base, head = (summarize(values[side]) for side in SIDES)
+        iqr = base["q3"] - base["q1"]
+        gap = head["median"] - base["median"]
+        beyond = (-gap if better == "lower" else gap) > iqr
+        out[name] = {"better": better, "base": base, "head": head,
                      "ratio_median": statistics.median(ratios),
-                     "head_better_pairs": wins, "pairs": len(pairs)}
+                     "head_better_pairs": wins, "pairs": len(pairs),
+                     "base_iqr": iqr, "median_gap": gap,
+                     "gap_beyond_base_iqr": beyond,
+                     "claim_holds": beyond and 10 * wins >= 9 * len(pairs)}
     return out
 
 
@@ -94,9 +105,11 @@ def main() -> int:
         for side in order:
             pair[side] = one_run(checkouts[side], args.workload, seed, args.seconds)
         pairs.append(pair)
+        base, head = (pair[side]["metrics"] for side in SIDES)
+        ratios = ", ".join(f"{name} {head[name] / base[name]:.4f}" for name in head)
         print(f"seed {seed}: " + ", ".join(
-            f"{side} {pair[side]['metrics']['query_ms_tail']:.3f} ms tail, "
-            f"{pair[side]['wall_s']} s wall" for side in order), flush=True)
+            f"{side} {pair[side]['wall_s']} s wall" for side in order)
+            + f"; head/base {ratios}", flush=True)
     entry = {"seconds": args.seconds, "pairs": pairs, "summary": summary(pairs)}
     recorded = (json.loads(args.out.read_text(encoding="utf-8"))
                 if args.out.exists() else {})
@@ -104,7 +117,10 @@ def main() -> int:
     args.out.write_text(json.dumps(recorded, indent=1) + "\n", encoding="utf-8")
     for name, s in entry["summary"].items():
         print(f"  {name:14} head/base {s['ratio_median']:.4f}  "
-              f"head better in {s['head_better_pairs']}/{s['pairs']}")
+              f"head better in {s['head_better_pairs']}/{s['pairs']}  "
+              f"base IQR {s['base_iqr']:.6g}  median gap {s['median_gap']:+.6g}  "
+              f"gap beyond IQR {'yes' if s['gap_beyond_base_iqr'] else 'no'}  "
+              f"claim {'holds' if s['claim_holds'] else 'fails'}")
     return 0
 
 

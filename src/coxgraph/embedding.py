@@ -265,7 +265,12 @@ def psi_gen(ctx: Context, gen: AGenerator) -> EdgeWord:
     cyc = ctx.cycle_by_chord.get(gen.chord)
     if cyc is None:
         raise KeyError(f"{gen.chord!r} is not a chord of this graph")
-    return reverse_word(gamma(ctx, cyc, gen.j)) + gamma(ctx, cyc, gen.i)
+    return _gen_word(gamma(ctx, cyc, gen.j), gamma(ctx, cyc, gen.i))
+
+
+def _gen_word(loop_j: EdgeWord, loop_i: EdgeWord) -> EdgeWord:
+    """``psi_gen``'s word for x_{ij} from the loops at j and at i."""
+    return reverse_word(loop_j) + loop_i
 
 
 class VerdictKind(Enum):
@@ -371,8 +376,8 @@ def kernel_generator_parts(ctx: Context) -> list[FStarElement]:
     i = 1..n-1; their abelianized images have full rank t(n-1).
     """
     parts = []
-    for chord in ctx.chords:
-        for i in range(1, ctx.n):
-            word = psi_gen(ctx, AGenerator(chord, i, i + 1))
-            parts.append(phi(ctx, word).f)
+    for cyc in ctx.cycles:
+        loops = [gamma(ctx, cyc, a) for a in range(1, ctx.n + 1)]
+        parts += [phi(ctx, _gen_word(loops[i], loops[i - 1])).f
+                  for i in range(1, ctx.n)]
     return parts

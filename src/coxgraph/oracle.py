@@ -75,20 +75,18 @@ def check_relators(ctx: Context) -> OracleReport:
     permutation evaluation.  A fork-quotient relator fixes every vertex, so
     its word is read once, by the evaluator (``embedding._run``).
     """
-    report = OracleReport("relators")
-    for rel in relators(ctx.graph, "coxy").relators:
+    coxy = relators(ctx.graph, "coxy").relators
+    symmetric = relators(ctx.graph, "symmetric").relators
+    report = OracleReport("relators", len(coxy) + len(symmetric))
+    for rel in coxy:
         where, slots = embedding._run(ctx, rel)
-        dies = where == ctx.home and not any(slots)
-        report.record(
-            "semidirect-image", " ".join(rel), "identity",
-            None if dies else phi(ctx, rel), dies,
-        )
-    for rel in relators(ctx.graph, "symmetric").relators:
+        if where != ctx.home or any(slots):
+            report.failures.append(("semidirect-image", " ".join(rel), "identity",
+                                    str(phi(ctx, rel))))
+    for rel in symmetric:
         img = perm_of_word(ctx.graph, rel)
-        report.record(
-            "permutation-image", " ".join(rel), "()", img,
-            img.is_identity(),
-        )
+        if not img.is_identity():
+            report.failures.append(("permutation-image", " ".join(rel), "()", str(img)))
     return report
 
 
@@ -120,7 +118,7 @@ def group_order(gens: Sequence[Permutation]) -> int:
     if not top:
         return 1
     levels: list[_Level] = []
-    full = math.factorial(n)
+    full, order = math.factorial(n), 1  # order: the product of the orbit lengths
 
     def sift(h: tuple[int, ...], start: int) -> tuple[tuple[int, ...], int]:
         for k in range(start, len(levels)):
@@ -134,6 +132,7 @@ def group_order(gens: Sequence[Permutation]) -> int:
         return h, len(levels)
 
     def complete(i: int) -> bool:
+        nonlocal order
         lvl = levels[i]
         while lvl.gens_done < len(lvl.gens) or lvl.points_done < len(lvl.reps):
             orbit = list(lvl.reps)
@@ -151,8 +150,9 @@ def group_order(gens: Sequence[Permutation]) -> int:
                     y = s[x]
                     step = tuple(map(s.__getitem__, rep))
                     if y not in lvl.reps:
+                        order = order // len(lvl.reps) * (len(lvl.reps) + 1)
                         lvl.add_point(y, step)
-                        if math.prod(len(lv.reps) for lv in levels) == full:
+                        if order == full:
                             return True
                         continue
                     h, j = sift(tuple(map(lvl.inverses[y].__getitem__, step)), i + 1)
@@ -169,7 +169,7 @@ def group_order(gens: Sequence[Permutation]) -> int:
     levels.append(_Level(next(p for p in range(n) if top[0][p] != p), n))
     levels[0].gens.extend(top)
     complete(0)
-    return math.prod(len(lvl.reps) for lvl in levels)
+    return order
 
 
 class _Level:
@@ -286,42 +286,51 @@ def identity_suite(seed: int, n: int, t: int, trials: int) -> OracleReport:
     generators on disjoint slot sets (bare and conjugated, both ways), the
     three triple-exchange laws behind the braid relations, and the
     four-slot fork-exchange law.  Each generator is the normal form ``mu``
-    gives, integer-coded.  Results are a pure function of the arguments.
+    gives, integer-coded.  Results are a pure function of the arguments, so
+    a repeated trial is checked once; its count and failures are reused.
     """
     if t < 1 or n < 4:
         raise ValueError(f"need t >= 1 and n >= 4, got t={t} n={n}")
     chords = [f"x{k}" for k in range(1, t + 1)]
     report = OracleReport(f"identity-suite(seed={seed},n={n},t={t})")
     cache = _Generators(n, {})
-    draws = _trial_draws(random.Random(seed), n, chords, trials)
-    for i, j, k, l, x, y, z, u, v, w in draws:
-        (x_ii, a, x_jk, x_ik, x_kj, x_ji, x_ki, b, y_ki, y_ji, y_kj, y_ik, y_ij, y_jk,
-         z_ik, z_ki, u_li, u_jl, u_ki, u_jk, v_ij, w_lk) = map(cache.__getitem__, (
-            (x, i, i), (x, i, j), (x, j, k), (x, i, k), (x, k, j), (x, j, i),
-            (x, k, i), (y, k, l), (y, k, i), (y, j, i), (y, k, j), (y, i, k),
-            (y, i, j), (y, j, k), (z, i, k), (z, k, i), (u, l, i), (u, j, l),
-            (u, k, i), (u, j, k), (v, i, j), (w, l, k)))
-        conj, conj_inv = _mul(z_ik, b, z_ki), _mul(z_ki, b, z_ik)
-        sides = (
-            ("unit-diagonal", x_ii, {}),
-            ("chain", _mul(a, x_jk), x_ik),
-            ("reverse-chain", _mul(x_jk, a), x_ik),
-            ("disjoint-commute", _mul(a, b), _mul(b, a)),
-            ("conjugated-commute", _mul(a, conj), _mul(conj, a)),
-            ("conjugated-commute-inv", _mul(a, conj_inv), _mul(conj_inv, a)),
-            ("triple-exchange-a", _mul(x_jk, y_ki, a), _mul(y_ji, x_ik, y_kj)),
-            ("triple-exchange-b", _mul(x_jk, y_ik, a), _mul(y_ij, x_ik, y_jk)),
-            ("triple-exchange-c", _mul(x_kj, y_ik, x_ji), _mul(y_ij, x_ki, y_jk)),
-            ("fork-exchange", _mul(u_li, v_ij, u_jl, w_lk),
-             _mul(w_lk, u_ki, v_ij, u_jk)),
-        )
-        report.checks_run += len(sides)
-        for check_id, lhs, rhs in sides:
-            if lhs != rhs:
-                inputs = f"i={i} j={j} k={k} l={l} x={x} y={y} z={z} u={u} v={v} w={w}"
-                report.failures.append((check_id, inputs, _decode(rhs, cache.codes),
-                                        _decode(lhs, cache.codes)))
+    done: dict[tuple, tuple[int, list[Failure]]] = {}  # draws -> _trial's result
+    for draw in _trial_draws(random.Random(seed), n, chords, trials):
+        laws, failures = done.get(draw) or done.setdefault(draw, _trial(cache, *draw))
+        report.checks_run += laws
+        report.failures += failures
     return report
+
+
+def _trial(cache, i, j, k, l, x, y, z, u, v, w) -> tuple[int, list[Failure]]:
+    """One identity-suite trial: the number of laws checked and the failures."""
+    (x_ii, a, x_jk, x_ik, x_kj, x_ji, x_ki, b, y_ki, y_ji, y_kj, y_ik, y_ij, y_jk,
+     z_ik, z_ki, u_li, u_jl, u_ki, u_jk, v_ij, w_lk) = map(cache.__getitem__, (
+        (x, i, i), (x, i, j), (x, j, k), (x, i, k), (x, k, j), (x, j, i),
+        (x, k, i), (y, k, l), (y, k, i), (y, j, i), (y, k, j), (y, i, k),
+        (y, i, j), (y, j, k), (z, i, k), (z, k, i), (u, l, i), (u, j, l),
+        (u, k, i), (u, j, k), (v, i, j), (w, l, k)))
+    conj, conj_inv = _mul(z_ik, b, z_ki), _mul(z_ki, b, z_ik)
+    sides = (
+        ("unit-diagonal", x_ii, {}),
+        ("chain", _mul(a, x_jk), x_ik),
+        ("reverse-chain", _mul(x_jk, a), x_ik),
+        ("disjoint-commute", _mul(a, b), _mul(b, a)),
+        ("conjugated-commute", _mul(a, conj), _mul(conj, a)),
+        ("conjugated-commute-inv", _mul(a, conj_inv), _mul(conj_inv, a)),
+        ("triple-exchange-a", _mul(x_jk, y_ki, a), _mul(y_ji, x_ik, y_kj)),
+        ("triple-exchange-b", _mul(x_jk, y_ik, a), _mul(y_ij, x_ik, y_jk)),
+        ("triple-exchange-c", _mul(x_kj, y_ik, x_ji), _mul(y_ij, x_ki, y_jk)),
+        ("fork-exchange", _mul(u_li, v_ij, u_jl, w_lk),
+         _mul(w_lk, u_ki, v_ij, u_jk)),
+    )
+    failures = []
+    for check_id, lhs, rhs in sides:
+        if lhs != rhs:
+            inputs = f"i={i} j={j} k={k} l={l} x={x} y={y} z={z} u={u} v={v} w={w}"
+            failures.append((check_id, inputs, _decode(rhs, cache.codes),
+                             _decode(lhs, cache.codes)))
+    return len(sides), failures
 
 
 def _choices(draw, labels: Sequence[str], k: int, count: int) -> list[str]:

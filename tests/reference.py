@@ -3,8 +3,10 @@
 A plain module, not a conftest: test modules import from it directly.
 """
 
+import random
 from typing import Sequence
 
+from coxgraph import oracle
 from coxgraph.freeprod import FStarElement, fstar_mul
 from coxgraph.graphs import Graph
 from coxgraph.perms import Permutation, compose
@@ -91,3 +93,46 @@ def integer_rank(mat: list[list[int]]) -> int:
         if r == rows:
             break
     return r
+
+
+def identity_suite_every_trial(seed: int, n: int, t: int,
+                               trials: int) -> oracle.OracleReport:
+    """``oracle.identity_suite`` checking every trial, a repeated one too:
+    the same draws, generators (through ``oracle.mu`` at call time), laws
+    and failure texts, with nothing reused between trials."""
+    if t < 1 or n < 4:
+        raise ValueError(f"need t >= 1 and n >= 4, got t={t} n={n}")
+    chords = [f"x{k}" for k in range(1, t + 1)]
+    report = oracle.OracleReport(f"identity-suite(seed={seed},n={n},t={t})")
+    cache = oracle._Generators(n, {})
+    mul = oracle._mul
+    draws = oracle._trial_draws(random.Random(seed), n, chords, trials)
+    for i, j, k, l, x, y, z, u, v, w in draws:
+        (x_ii, a, x_jk, x_ik, x_kj, x_ji, x_ki, b, y_ki, y_ji, y_kj, y_ik, y_ij, y_jk,
+         z_ik, z_ki, u_li, u_jl, u_ki, u_jk, v_ij, w_lk) = map(cache.__getitem__, (
+            (x, i, i), (x, i, j), (x, j, k), (x, i, k), (x, k, j), (x, j, i),
+            (x, k, i), (y, k, l), (y, k, i), (y, j, i), (y, k, j), (y, i, k),
+            (y, i, j), (y, j, k), (z, i, k), (z, k, i), (u, l, i), (u, j, l),
+            (u, k, i), (u, j, k), (v, i, j), (w, l, k)))
+        conj, conj_inv = mul(z_ik, b, z_ki), mul(z_ki, b, z_ik)
+        sides = (
+            ("unit-diagonal", x_ii, {}),
+            ("chain", mul(a, x_jk), x_ik),
+            ("reverse-chain", mul(x_jk, a), x_ik),
+            ("disjoint-commute", mul(a, b), mul(b, a)),
+            ("conjugated-commute", mul(a, conj), mul(conj, a)),
+            ("conjugated-commute-inv", mul(a, conj_inv), mul(conj_inv, a)),
+            ("triple-exchange-a", mul(x_jk, y_ki, a), mul(y_ji, x_ik, y_kj)),
+            ("triple-exchange-b", mul(x_jk, y_ik, a), mul(y_ij, x_ik, y_jk)),
+            ("triple-exchange-c", mul(x_kj, y_ik, x_ji), mul(y_ij, x_ki, y_jk)),
+            ("fork-exchange", mul(u_li, v_ij, u_jl, w_lk),
+             mul(w_lk, u_ki, v_ij, u_jk)),
+        )
+        report.checks_run += len(sides)
+        for check_id, lhs, rhs in sides:
+            if lhs != rhs:
+                inputs = f"i={i} j={j} k={k} l={l} x={x} y={y} z={z} u={u} v={v} w={w}"
+                report.failures.append((check_id, inputs,
+                                        oracle._decode(rhs, cache.codes),
+                                        oracle._decode(lhs, cache.codes)))
+    return report

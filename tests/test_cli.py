@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shlex
 import signal
 import subprocess
@@ -517,14 +518,30 @@ def test_bench_pairs_layout(tmp_path):
     for metric in bench["end_to_end"]:
         s = entry["summary"][metric["name"]]
         assert list(s) == ["better", "base", "head", "ratio_median",
-                           "head_better_pairs", "pairs"]
+                           "head_better_pairs", "pairs", "base_iqr", "median_gap",
+                           "gap_beyond_base_iqr", "claim_holds"]
         assert (s["better"], s["pairs"]) == (metric["better"], 1)
         base, head = (pair[side]["metrics"][metric["name"]]
                       for side in ("base", "head"))
         assert (s["base"]["values"], s["head"]["values"]) == ([base], [head])
         assert s["ratio_median"] == head / base
-        assert s["head_better_pairs"] == int(
-            head < base if metric["better"] == "lower" else head > base)
+        won = head < base if metric["better"] == "lower" else head > base
+        assert s["head_better_pairs"] == int(won)
+        # one pair: base's quartiles are its one value, so any win clears them
+        assert (s["base_iqr"], s["median_gap"]) == (0, head - base)
+        assert s["gap_beyond_base_iqr"] is s["claim_holds"] is won
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("seed 1: base ") and "; head/base " in lines[0]
+    ratio_text = lines[0].split("; head/base ")[1]
+    ratios = dict(part.split() for part in ratio_text.split(", "))
+    assert list(ratios) == names
+    for name, text in ratios.items():
+        base, head = (pair[side]["metrics"][name] for side in ("base", "head"))
+        assert text == f"{head / base:.4f}"
+    assert [line.split()[0] for line in lines[1:]] == names
+    for line in lines[1:]:
+        assert "base IQR " in line and "median gap " in line
+        assert re.search(r"gap beyond IQR (yes|no)  claim (holds|fails)$", line)
 
 
 def test_bench_pairs_fails_on_a_failed_run(tmp_path):

@@ -512,6 +512,15 @@ def test_psi_gen_unknown_chord(sixpts_ctx):
         psi_gen(sixpts_ctx, AGenerator("a", 1, 2))  # a is a tree edge
 
 
+def test_kernel_generator_parts_are_psi_gen_images(corpus_contexts):
+    """Building each loop element once per cycle gives the parts psi_gen's
+    words give, in the same order."""
+    for name, ctx in corpus_contexts.items():
+        assert kernel_generator_parts(ctx) == [
+            phi(ctx, psi_gen(ctx, AGenerator(chord, i, i + 1))).f
+            for chord in ctx.chords for i in range(1, ctx.n)], name
+
+
 def test_round_trip_fixes_generators(corpus_contexts):
     # rebuild each generator from its image; compare through the evaluation
     for ctx in corpus_contexts.values():

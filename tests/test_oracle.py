@@ -31,7 +31,7 @@ from coxgraph.oracle import (
 )
 from coxgraph.perms import Permutation, compose
 from coxgraph.presentation import AGenerator, mu, relators
-from reference import bfs_group_order, integer_rank
+from reference import bfs_group_order, identity_suite_every_trial, integer_rank
 
 
 # ---------------------------------------------------------- check_relators
@@ -461,6 +461,44 @@ def test_identity_suite_failure_transcript(monkeypatch):
     monkeypatch.setattr(oracle, "mu", flipped_mu)
     report = identity_suite(seed=1, n=5, t=2, trials=3)
     assert report.render() == EXPECTED_MU_FAILURES
+
+
+@pytest.mark.parametrize("faulty", [False, True])
+def test_identity_suite_matches_every_trial_reference(monkeypatch, faulty):
+    """Checking a repeated trial once changes nothing in the report, planted
+    fault or not: the same count and the same failure lines, a repeated
+    failing trial's lines again, also past the 24 distinct instances of
+    n = 4, t = 1."""
+    if faulty:
+        monkeypatch.setattr(oracle, "mu", flipped_mu)
+    repeated = 0
+    for n, t in ((4, 1), (5, 1), (4, 2), (6, 3)):
+        for seed in range(1, 21):
+            for trials in (100, 500):
+                report = identity_suite(seed, n, t, trials)
+                assert report.render() == identity_suite_every_trial(
+                    seed, n, t, trials).render(), (n, t, seed, trials)
+                assert report.checks_run == 10 * trials
+                repeated += len(report.failures) - len(set(report.failures))
+    assert bool(repeated) == faulty
+
+
+def test_identity_suite_checks_each_distinct_trial_once(monkeypatch):
+    """Each distinct draw costs its 18 products once: n = 4, t = 1 has 24
+    instances, so 200 trials repeat most of them."""
+    calls = 0
+    mul = oracle._mul
+
+    def counting_mul(*factors):
+        nonlocal calls
+        calls += 1
+        return mul(*factors)
+
+    monkeypatch.setattr(oracle, "_mul", counting_mul)
+    draws = set(oracle._trial_draws(random.Random(1), 4, ["x1"], 200))
+    assert len(draws) < 200
+    assert identity_suite(seed=1, n=4, t=1, trials=200).checks_run == 2000
+    assert calls == 18 * len(draws)
 
 
 def _random_fstar(rng, n):
