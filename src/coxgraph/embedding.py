@@ -286,15 +286,6 @@ class Verdict(Record):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "witness", witness)
 
-    def is_trivial(self) -> bool:
-        return self.kind is VerdictKind.TRIVIAL
-
-    def trivial_image(self) -> bool:
-        """True when the computed image is the identity, whether or not that
-        settles triviality (it does not for the complete graph on four
-        vertices)."""
-        return self.kind is not VerdictKind.NONTRIVIAL
-
 
 def is_trivial(ctx: Context, w: Iterable[str]) -> Verdict:
     """Decide whether an edge word is the identity.

@@ -82,10 +82,6 @@ def reduce(raw: Iterable[Letter]) -> ReducedWord:
     return ReducedWord(tuple(stack))
 
 
-def word(*letters: Letter) -> ReducedWord:
-    return reduce(letters)
-
-
 class FStarElement(Record):
     """A tuple of reduced words, one per slot 1..n."""
 
@@ -97,13 +93,6 @@ class FStarElement(Record):
     @classmethod
     def identity(cls, n: int) -> "FStarElement":
         return cls((ReducedWord(),) * n)
-
-    @classmethod
-    def single(cls, n: int, slot: int, label: str, exp: int = 1) -> "FStarElement":
-        """The element with one letter at the given slot, identity elsewhere."""
-        comps = [ReducedWord()] * n
-        comps[slot - 1] = ReducedWord(((label, exp),))
-        return cls(tuple(comps))
 
     @property
     def n(self) -> int:
@@ -131,29 +120,19 @@ def fstar_inv(p: FStarElement) -> FStarElement:
     return FStarElement(tuple(w.inverse() for w in p.components))
 
 
-class AbVector(Record):
-    """Total exponent sums per chord label, summed over all slots."""
-
-    __slots__ = ("counts",)
-
-    def __init__(self, counts: tuple[tuple[str, int], ...]):
-        object.__setattr__(self, "counts", counts)
-
-    def is_zero(self) -> bool:
-        return not self.counts
-
-
-def ab(p: FStarElement) -> AbVector:
+def ab(p: FStarElement) -> tuple[tuple[str, int], ...]:
+    """Total exponent sums per chord label, summed over all slots: the
+    nonzero ``(label, total)`` pairs in label order."""
     totals: dict[str, int] = {}
     for w in p.components:
         for x, v in w.exponent_sums().items():
             totals[x] = totals.get(x, 0) + v
-    return AbVector(tuple(sorted((x, v) for x, v in totals.items() if v)))
+    return tuple(sorted((x, v) for x, v in totals.items() if v))
 
 
 def in_ftn(p: FStarElement) -> bool:
     """Membership in the kernel of the summed exponent map."""
-    return ab(p).is_zero()
+    return not ab(p)
 
 
 def component_exponents(p: FStarElement) -> dict[tuple[str, int], int]:

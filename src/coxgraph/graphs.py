@@ -354,12 +354,11 @@ def has_forbidden_fork(g: Graph) -> tuple[bool, tuple[int, int, int, int] | None
     return False, None
 
 
-def edge_subgraph(g: Graph, labels: Iterable[str]) -> tuple[Graph, dict[int, int]]:
+def edge_subgraph(g: Graph, labels: Iterable[str]) -> Graph:
     """The subgraph spanned by the given edges, vertices renumbered 1..k in
-    increasing order of their original names.  Returns (graph, old->new map).
+    increasing order of their original names.
     """
     chosen = [g.edge(label) for label in labels]
     verts = sorted({v for e in chosen for v in (e.a, e.b)})
     renum = {old: new for new, old in enumerate(verts, start=1)}
-    sub = Graph(len(verts), [(e.label, renum[e.a], renum[e.b]) for e in chosen])
-    return sub, renum
+    return Graph(len(verts), [(e.label, renum[e.a], renum[e.b]) for e in chosen])

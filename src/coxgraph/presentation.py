@@ -65,18 +65,9 @@ def act_a(s: Permutation, gen: AGenerator) -> AGenerator:
     return AGenerator(gen.chord, s(gen.i), s(gen.j))
 
 
-class RelatorSet(Record):
-    """A named list of relators, either edge words or generator words."""
-
-    __slots__ = ("name", "relators")
-
-    def __init__(self, name: str, relators: tuple):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "relators", relators)
-
-
-def relators(g: Graph, which: str) -> RelatorSet:
-    """Emit the full defining relator list for one of the presentations.
+def relators(g: Graph, which: str) -> tuple:
+    """The full defining relator list of one of the presentations, as a
+    tuple of edge words (generator words for "atn").
 
     which = "coxeter":   involutions, disjoint commutation, braid triples.
     which = "coxy":      coxeter plus one fork relator per edge triple at a
@@ -109,10 +100,10 @@ def relators(g: Graph, which: str) -> RelatorSet:
         for cyc in basic_cycles(g, t0):
             side = (cyc.chord,) + cyc.cycle_edges  # u_1 .. u_m
             rels.append(side[:-1] + tuple(reversed(side[1:])))
-    return RelatorSet(which, tuple(rels))
+    return tuple(rels)
 
 
-def _atn_relators(g: Graph) -> RelatorSet:
+def _atn_relators(g: Graph) -> tuple[AWord, ...]:
     t0 = spanning_tree(g)
     chords = sorted(label for label in g.labels if label not in t0.tree_edges)
     n = g.n
@@ -137,7 +128,7 @@ def _atn_relators(g: Graph) -> RelatorSet:
             )
     for x, y in combinations_with_replacement(chords, 2):
         rels.extend(_disjoint_commutators(x, y, n))
-    return RelatorSet("atn", tuple(rels))
+    return tuple(rels)
 
 
 def _disjoint_commutators(x: str, y: str, n: int) -> list[AWord]:

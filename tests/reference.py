@@ -7,7 +7,7 @@ import random
 from typing import Sequence
 
 from coxgraph import oracle
-from coxgraph.freeprod import FStarElement, fstar_mul
+from coxgraph.freeprod import FStarElement, ReducedWord, fstar_mul
 from coxgraph.graphs import Graph
 from coxgraph.perms import Permutation, compose
 from coxgraph.presentation import AGenerator
@@ -45,8 +45,15 @@ def mu_by_products(gen: AGenerator, n: int) -> FStarElement:
         raise ValueError(f"slots out of range 1..{n}: {gen}")
     if gen.i == gen.j:
         return FStarElement.identity(n)
-    return fstar_mul(FStarElement.single(n, gen.i, gen.chord, 1),
-                     FStarElement.single(n, gen.j, gen.chord, -1))
+    return fstar_mul(single(n, gen.i, gen.chord, 1), single(n, gen.j, gen.chord, -1))
+
+
+def single(n: int, slot: int, label: str, exp: int = 1) -> FStarElement:
+    """The element with one letter at the given slot, identity elsewhere,
+    built by the validating constructors."""
+    comps = [ReducedWord()] * n
+    comps[slot - 1] = ReducedWord(((label, exp),))
+    return FStarElement(tuple(comps))
 
 
 def components_by_walk(g: Graph) -> list[tuple[int, ...]]:

@@ -486,6 +486,35 @@ def test_readme_cli_examples(capsys, monkeypatch, command, expected):
     assert out.splitlines()[:len(expected)] == expected
 
 
+# The top-level API: the README's library names and what its prose promises.
+TOP_LEVEL = {
+    "GraphError", "UnknownLabelError", "Verdict", "VerdictKind", "build_context",
+    "equal", "in_kernel", "is_trivial", "parse_graph", "parse_word", "phi",
+    "psi_gen", "psi_perm", "structure_report",
+}
+
+
+def test_readme_library_example(capsys, monkeypatch):
+    """The README's Python block runs and prints what its comment says."""
+    monkeypatch.chdir(ROOT)
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    comments = [line.partition("  # ")[2] for line in block.splitlines() if "  # " in line]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == comments
+
+
+def test_top_level_exports_are_the_documented_api():
+    import coxgraph
+
+    assert len(coxgraph.__all__) == len(TOP_LEVEL)
+    assert set(coxgraph.__all__) == TOP_LEVEL
+    assert all(hasattr(coxgraph, name) for name in TOP_LEVEL)
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    listed = text.split("## Library", 1)[1].split("exports these names", 1)[1]
+    assert set(re.findall(r"`(\w+)`", listed.split(".", 1)[0])) == TOP_LEVEL
+
+
 def bench_pairs(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, str(ROOT / "scripts" / "bench_pairs.py"),
                            *args], cwd=ROOT, capture_output=True, text=True,

@@ -16,10 +16,10 @@ from coxgraph.freeprod import (
     sd_inv,
     sd_mul,
     sn_act_f,
-    word,
 )
 from coxgraph.perms import Permutation, compose
 from coxgraph.presentation import AGenerator, mu
+from reference import single
 
 letters = st.tuples(st.sampled_from("xyz"), st.sampled_from((1, -1)))
 raw_words = st.lists(letters, max_size=14).map(tuple)
@@ -45,8 +45,8 @@ def test_cancel_pair():
 
 
 def test_inner_cancellation():
-    assert reduce([("x", 1), ("y", 1), ("y", -1), ("x", 1)]) == word(
-        ("x", 1), ("x", 1)
+    assert reduce([("x", 1), ("y", 1), ("y", -1), ("x", 1)]) == ReducedWord(
+        (("x", 1), ("x", 1))
     )
 
 
@@ -85,7 +85,7 @@ def test_constructor_rejects_unreduced():
 @pytest.mark.parametrize("make", [
     lambda: ReducedWord((("x", 2),)),
     lambda: reduce([("x", 1), ("y", 0)]),
-    lambda: word(("x", -2)),
+    lambda: reduce([("x", -2)]),
 ])
 def test_public_constructors_reject_bad_exponents(make):
     with pytest.raises(ValueError):
@@ -96,19 +96,21 @@ def test_public_constructors_reject_bad_exponents(make):
 
 
 def test_product_with_inverse_is_identity():
-    p = FStarElement((word(("x", 1)), word(("y", -1), ("x", 1)), ReducedWord()))
+    p = FStarElement(
+        (ReducedWord((("x", 1),)), ReducedWord((("y", -1), ("x", 1))), ReducedWord())
+    )
     assert fstar_mul(p, fstar_inv(p)).is_identity()
 
 
 def test_different_slots_commute():
-    p = FStarElement.single(3, 1, "x")
-    q = FStarElement.single(3, 2, "y")
+    p = single(3, 1, "x")
+    q = single(3, 2, "y")
     assert fstar_mul(p, q) == fstar_mul(q, p)
 
 
 def test_same_slot_does_not_commute():
-    p = FStarElement.single(3, 1, "x")
-    q = FStarElement.single(3, 1, "y")
+    p = single(3, 1, "x")
+    q = single(3, 1, "y")
     assert fstar_mul(p, q) != fstar_mul(q, p)
 
 
@@ -122,14 +124,15 @@ def test_size_mismatch_raises():
 
 def test_ab_of_identity_zero():
     p = FStarElement.identity(4)
-    assert ab(p).is_zero() and in_ftn(p)
+    assert ab(p) == () and in_ftn(p)
 
 
 def test_ab_counts_across_slots():
     p = FStarElement(
-        (word(("x", 1)), word(("x", -1), ("y", 1)), ReducedWord(), ReducedWord())
+        (ReducedWord((("x", 1),)), ReducedWord((("x", -1), ("y", 1))), ReducedWord(),
+         ReducedWord())
     )
-    assert ab(p).counts == (("y", 1),)
+    assert ab(p) == (("y", 1),)
     assert not in_ftn(p)
 
 
@@ -139,8 +142,8 @@ def test_mu_lands_in_kernel():
 
 @given(fstar_elements(), fstar_elements())
 def test_ab_is_additive(p, q):
-    total = dict(ab(fstar_mul(p, q)).counts)
-    left, right = dict(ab(p).counts), dict(ab(q).counts)
+    total = dict(ab(fstar_mul(p, q)))
+    left, right = dict(ab(p)), dict(ab(q))
     combined = {
         k: left.get(k, 0) + right.get(k, 0) for k in set(left) | set(right)
     }
@@ -149,8 +152,8 @@ def test_ab_is_additive(p, q):
 
 @given(fstar_elements())
 def test_ab_negates_under_inverse(p):
-    assert dict(ab(fstar_inv(p)).counts) == {
-        k: -v for k, v in dict(ab(p).counts).items()
+    assert dict(ab(fstar_inv(p))) == {
+        k: -v for k, v in dict(ab(p)).items()
     }
 
 
@@ -163,14 +166,14 @@ def test_component_exponents():
 
 
 def test_identity_acts_trivially():
-    p = FStarElement.single(4, 2, "x")
+    p = single(4, 2, "x")
     assert sn_act_f(Permutation.identity(4), p) == p
 
 
 def test_transposition_moves_slot():
-    p = FStarElement.single(4, 1, "x")
+    p = single(4, 1, "x")
     s = Permutation.transposition(4, 1, 2)
-    assert sn_act_f(s, p) == FStarElement.single(4, 2, "x")
+    assert sn_act_f(s, p) == single(4, 2, "x")
 
 
 @given(
@@ -226,7 +229,9 @@ def test_tree_letter_then_chord_letter():
 
 
 def test_display_formats():
-    p = FStarElement((word(("x", 1), ("y", -1)), ReducedWord(), word(("x", -1))))
+    p = FStarElement(
+        (ReducedWord((("x", 1), ("y", -1))), ReducedWord(), ReducedWord((("x", -1),)))
+    )
     assert str(p) == "1: x y^-1, 3: x^-1"
     assert str(FStarElement.identity(2)) == "1"
     g = SemidirectElement(Permutation.identity(3), p)

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -357,7 +358,7 @@ def test_tree_path_sixpts():
 def test_tree_path_matches_unique_simple_path(corpus_graphs):
     for g in corpus_graphs.values():
         t0 = spanning_tree(g)
-        tree, _ = edge_subgraph(g, t0.tree_edges)
+        tree = edge_subgraph(g, t0.tree_edges)
         # renumbering is identity on a spanning subgraph
         for a in g.vertices():
             for b in g.vertices():
@@ -498,7 +499,21 @@ def test_fork_matches_oracle_on_random_graphs(g):
 
 def test_edge_subgraph_renumbers_in_order():
     g = sixpts_graph()
-    sub, renum = edge_subgraph(g, ["b", "d", "y"])  # triangle on 2, 3, 6
+    sub = edge_subgraph(g, ["b", "d", "y"])  # triangle on 2, 3, 6
     assert sub.n == 3
-    assert renum == {2: 1, 3: 2, 6: 3}
-    assert {e.label for e in sub.edges} == {"b", "d", "y"}
+    assert {(e.label, e.a, e.b) for e in sub.edges} == {
+        ("b", 1, 2), ("d", 1, 3), ("y", 2, 3)}
+
+
+# ------------------------------------------------------------- graph files
+
+
+def test_graph_files_match_corpus(corpus_graphs):
+    """Each ``graphs/NAME.graph``, which the CLI tests and the benchmark
+    read, is ``graph_text`` of the corpus graph NAME, and the files and the
+    corpus name the same graphs (``scripts/export_graphs.py`` writes them)."""
+    folder = Path(__file__).resolve().parents[1] / "graphs"
+    files = {p.stem: p.read_text(encoding="utf-8") for p in folder.glob("*.graph")}
+    assert sorted(files) == sorted(corpus_graphs)
+    for name, g in corpus_graphs.items():
+        assert files[name] == graph_text(g), name

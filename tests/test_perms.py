@@ -116,5 +116,5 @@ def test_word_evaluation_is_multiplicative(corpus_graphs):
 def test_symmetric_relators_die(corpus_graphs):
     for g in corpus_graphs.values():
         for which in ("coxy", "symmetric"):
-            for rel in relators(g, which).relators:
+            for rel in relators(g, which):
                 assert perm_of_word(g, rel).is_identity(), (g, which, rel)

@@ -14,11 +14,11 @@ from coxgraph.embedding import (
     Verdict,
     VerdictKind,
 )
-from coxgraph.freeprod import AbVector, FStarElement, ReducedWord, SemidirectElement
+from coxgraph.freeprod import FStarElement, ReducedWord, SemidirectElement
 from coxgraph.graphs import BasicCycle, Edge, Graph, SpanningTreeData
 from coxgraph.oracle import OracleReport
 from coxgraph.perms import Permutation
-from coxgraph.presentation import AGenerator, RelatorSet, TsaranovReport
+from coxgraph.presentation import AGenerator, TsaranovReport
 
 W = ReducedWord((("x", 1), ("y", -1)))
 F = FStarElement((W, ReducedWord()))
@@ -30,8 +30,6 @@ CASES = [
     (FStarElement, {"components": (W, ReducedWord())},
      "FStarElement(components=(ReducedWord(letters=(('x', 1), ('y', -1))), "
      "ReducedWord(letters=())))"),
-    (AbVector, {"counts": (("x", 2), ("y", -1))},
-     "AbVector(counts=(('x', 2), ('y', -1)))"),
     (SemidirectElement, {"perm": Permutation([2, 1]), "f": F},
      "SemidirectElement(perm=Permutation([2, 1]), f=FStarElement(components=("
      "ReducedWord(letters=(('x', 1), ('y', -1))), ReducedWord(letters=()))))"),
@@ -55,8 +53,6 @@ CASES = [
      "'free_subgroup'>, kernel_ab_rank=9, is_k4=True, torsion_free_kernel=False, "
      "residually_finite=False, word_problem_exact=False)"),
     (AGenerator, {"chord": "x", "i": 1, "j": 4}, "AGenerator(chord='x', i=1, j=4)"),
-    (RelatorSet, {"name": "coxeter", "relators": (("a", "a"),)},
-     "RelatorSet(name='coxeter', relators=(('a', 'a'),))"),
     (TsaranovReport,
      {"graph": Graph(2, [("a", 1, 2)]), "n": 2, "t": 0, "extra_relators": "none"},
      "TsaranovReport(graph=Graph(n=2, edges=1), n=2, t=0, extra_relators='none')"),
@@ -123,8 +119,8 @@ def test_copy_and_pickle_round_trip(cls, fields, text):
 def test_oracle_report_is_mutable():
     r = OracleReport("x")
     r.checks_run = 3
-    r.record("c", "in", 1, 2, False)
-    assert (r.checks_run, r.failures) == (4, [("c", "in", "1", "2")])
+    r.failures += [("c", "in", "1", "2")]
+    assert (r.checks_run, r.failures) == (3, [("c", "in", "1", "2")])
 
 
 def test_defaults():
@@ -138,7 +134,6 @@ def test_defaults():
 
 def test_unequal_across_classes_with_equal_fields():
     assert Edge("x", 1, 4) != AGenerator("x", 1, 4)
-    assert AbVector((("x", 1),)) != ReducedWord((("x", 1),))
 
 
 @pytest.mark.parametrize("letters, message", [
