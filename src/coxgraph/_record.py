@@ -8,8 +8,7 @@ class Record:
     tuples are equal; the hash is the field tuple's, so a record holding an
     unhashable field is unhashable.  The repr reads ``Name(field=value,
     ...)``.  Fields are read-only: ``__init__`` sets them with
-    ``object.__setattr__``, and a mutable subclass restores the default
-    ``__setattr__`` and ``__delattr__`` and sets ``__hash__`` to None.
+    ``object.__setattr__``.
     """
 
     __slots__ = ()

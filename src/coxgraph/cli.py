@@ -239,7 +239,8 @@ def _cmd_equal(args) -> int:
     try:
         verdict = equal(ctx, w1, w2)
     except UnknownLabelError:
-        _require_labels(ctx, w1 + w2)  # name the first unknown in reading order
+        for label in w1 + w2:  # name the first unknown in reading order
+            ctx.graph.edge(label)
         raise
     return _print_verdict(ctx, verdict, args.porcelain)
 
@@ -259,11 +260,6 @@ def _cmd_kernel(args) -> int:
     if not member:
         print(f"permutation: {g.perm}")
     return 0
-
-
-def _require_labels(ctx: Context, word) -> None:
-    for label in word:
-        ctx.graph.edge(label)  # raises KeyError on unknown labels
 
 
 def _cmd_verify(args) -> int:

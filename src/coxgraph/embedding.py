@@ -15,7 +15,7 @@ from collections.abc import Iterable
 from enum import Enum
 
 from ._record import Record
-from .freeprod import FStarElement, Letter, ReducedWord, SemidirectElement
+from .freeprod import EMPTY_WORD, FStarElement, Letter, ReducedWord, SemidirectElement
 from .graphs import (
     BasicCycle,
     Graph,
@@ -26,9 +26,7 @@ from .graphs import (
     tree_path_labels,
 )
 from .perms import Permutation
-from .presentation import AGenerator, mu
-
-EdgeWord = tuple[str, ...]
+from .presentation import AGenerator, EdgeWord, mu
 
 
 def parse_word(text: str) -> EdgeWord:
@@ -45,8 +43,6 @@ def reverse_word(w: EdgeWord) -> EdgeWord:
 # for a chord x, the shared letters (x, 1) and (x, -1); None, None for a
 # tree edge.
 Step = tuple[int, int, Letter | None, Letter | None]
-
-_EMPTY = ReducedWord()  # every empty slot of a phi result shares it
 
 
 class Context:
@@ -141,7 +137,7 @@ def phi(ctx: Context, w: Iterable[str]) -> SemidirectElement:
     where, slots = _run(ctx, w)
     return SemidirectElement(
         Permutation._trusted_inverse(where),
-        FStarElement(tuple([ReducedWord._trusted(tuple(s)) if s else _EMPTY
+        FStarElement(tuple([ReducedWord._trusted(tuple(s)) if s else EMPTY_WORD
                             for s in slots])),
     )
 

@@ -71,6 +71,9 @@ class ReducedWord(Record):
         return " ".join(x if e == 1 else f"{x}^-1" for x, e in self.letters) or "1"
 
 
+EMPTY_WORD = ReducedWord()  # shared by every empty slot the package builds
+
+
 def reduce(raw: Iterable[Letter]) -> ReducedWord:
     """Freely reduce a letter sequence; idempotent."""
     stack: list[Letter] = []
@@ -92,7 +95,7 @@ class FStarElement(Record):
 
     @classmethod
     def identity(cls, n: int) -> "FStarElement":
-        return cls((ReducedWord(),) * n)
+        return cls((EMPTY_WORD,) * n)
 
     @property
     def n(self) -> int:
@@ -155,9 +158,9 @@ def sn_act_f(s: Permutation, p: FStarElement) -> FStarElement:
     """Permute slots: the word at slot i moves to slot s(i)."""
     if s.n != p.n:
         raise ValueError(f"size mismatch: {s.n} vs {p.n}")
-    comps = [ReducedWord()] * p.n
-    for i in range(1, p.n + 1):
-        comps[s(i) - 1] = p.components[i - 1]
+    comps = list(p.components)
+    for w, image in zip(p.components, s.images):
+        comps[image - 1] = w
     return FStarElement(tuple(comps))
 
 

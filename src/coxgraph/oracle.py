@@ -33,21 +33,21 @@ from .presentation import AGenerator, mu, relators
 # report line to ``verify`` on larger graphs.
 ORDER_CHECK_MAX_N = 9
 
+# The identity suite reuses a repeated trial's result only on graphs with at
+# most this many distinct draws, n(n-1)(n-2)(n-3)·t^6; above it repeats are
+# rare, and a memo would grow with the trial count.
+IDENTITY_MEMO_MAX_INSTANCES = 2 ** 16
+
 Failure = tuple[str, str, str, str]  # (check id, inputs, expected, got)
 
 
 class OracleReport(Record):
     __slots__ = ("name", "checks_run", "failures")
-    # Reports are filled in check by check, so their fields are writable.
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
-    def __init__(self, name: str, checks_run: int = 0,
-                 failures: list[Failure] | None = None):
-        self.name = name
-        self.checks_run = checks_run
-        self.failures = [] if failures is None else failures
+    def __init__(self, name: str, checks_run: int, failures: list[Failure]):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "checks_run", checks_run)
+        object.__setattr__(self, "failures", failures)
 
     @property
     def ok(self) -> bool:
@@ -69,17 +69,17 @@ def check_relators(ctx: Context) -> OracleReport:
     """
     coxy = relators(ctx.graph, "coxy")
     symmetric = relators(ctx.graph, "symmetric")
-    report = OracleReport("relators", len(coxy) + len(symmetric))
+    failures = []
     for rel in coxy:
         where, slots = embedding._run(ctx, rel)
         if where != ctx.home or any(slots):
-            report.failures.append(("semidirect-image", " ".join(rel), "identity",
-                                    str(phi(ctx, rel))))
+            failures.append(("semidirect-image", " ".join(rel), "identity",
+                             str(phi(ctx, rel))))
     for rel in symmetric:
         img = perm_of_word(ctx.graph, rel)
         if not img.is_identity():
-            report.failures.append(("permutation-image", " ".join(rel), "()", str(img)))
-    return report
+            failures.append(("permutation-image", " ".join(rel), "()", str(img)))
+    return OracleReport("relators", len(coxy) + len(symmetric), failures)
 
 
 def group_order(gens: Sequence[Permutation]) -> int:
@@ -279,19 +279,24 @@ def identity_suite(seed: int, n: int, t: int, trials: int) -> OracleReport:
     three triple-exchange laws behind the braid relations, and the
     four-slot fork-exchange law.  Each generator is the normal form ``mu``
     gives, integer-coded.  Results are a pure function of the arguments, so
-    a repeated trial is checked once; its count and failures are reused.
+    where there are at most ``IDENTITY_MEMO_MAX_INSTANCES`` distinct draws,
+    a repeated trial is checked once and its count and failures are reused;
+    memory then depends on the graph, not on the trial count.
     """
     if t < 1 or n < 4:
         raise ValueError(f"need t >= 1 and n >= 4, got t={t} n={n}")
     chords = [f"x{k}" for k in range(1, t + 1)]
-    report = OracleReport(f"identity-suite(seed={seed},n={n},t={t})")
     cache = _Generators(n, {})
+    memo = n * (n - 1) * (n - 2) * (n - 3) * t ** 6 <= IDENTITY_MEMO_MAX_INSTANCES
     done: dict[tuple, tuple[int, list[Failure]]] = {}  # draws -> _trial's result
+    checks, failures = 0, []
     for draw in _trial_draws(random.Random(seed), n, chords, trials):
-        laws, failures = done.get(draw) or done.setdefault(draw, _trial(cache, *draw))
-        report.checks_run += laws
-        report.failures += failures
-    return report
+        laws, found = done.get(draw) or _trial(cache, *draw)
+        if memo:
+            done[draw] = laws, found
+        checks += laws
+        failures += found
+    return OracleReport(f"identity-suite(seed={seed},n={n},t={t})", checks, failures)
 
 
 def _trial(cache, i, j, k, l, x, y, z, u, v, w) -> tuple[int, list[Failure]]:
@@ -382,17 +387,17 @@ def parabolic_check(ctx: Context, sub_labels: Iterable[str], samples: int,
     outer_kind = (VerdictKind.NONTRIVIAL.value, (
         VerdictKind.TRIVIAL_IN_QUOTIENT if ctx.is_k4 else VerdictKind.TRIVIAL
     ).value)
-    report = OracleReport(f"parabolic({','.join(sub_labels)},seed={seed})",
-                          max(samples, 0))
+    failures = []
     # One word at a time, so memory does not grow with the sample count.
     for w in random_words(rng, sub_labels, samples):
         inner = trivial_image(sub_ctx, w)
         if inner != trivial_image(ctx, w):
-            report.failures.append((
+            failures.append((
                 "verdict-agreement", " ".join(w) or "<empty>",
                 inner_kind[inner], outer_kind[not inner],
             ))
-    return report
+    return OracleReport(f"parabolic({','.join(sub_labels)},seed={seed})",
+                        max(samples, 0), failures)
 
 
 def full_suite(ctx: Context, seed: int, trials: int) -> list[OracleReport]:

@@ -37,7 +37,7 @@ class Permutation:
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
-        return cls(range(1, n + 1))
+        return cls._trusted(tuple(range(1, n + 1)))
 
     @classmethod
     def transposition(cls, n: int, a: int, b: int) -> "Permutation":
@@ -45,7 +45,7 @@ class Permutation:
             raise ValueError(f"bad transposition ({a} {b}) in S_{n}")
         images = list(range(1, n + 1))
         images[a - 1], images[b - 1] = b, a
-        return cls(images)
+        return cls._trusted(tuple(images))
 
     @classmethod
     def from_cycles(cls, n: int, cycles: Iterable[Sequence[int]]) -> "Permutation":

@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import combinations, combinations_with_replacement, permutations
 
 from ._record import Record
-from .freeprod import FStarElement, ReducedWord, fstar_inv, fstar_mul
+from .freeprod import EMPTY_WORD, FStarElement, ReducedWord, fstar_inv, fstar_mul
 from .graphs import Graph, basic_cycles, spanning_tree
 from .perms import Permutation
 
@@ -36,8 +36,6 @@ class AGenerator(Record):
 # A word over kernel generators: pairs (generator, +1 or -1).
 AWord = tuple[tuple[AGenerator, int], ...]
 
-_EMPTY = ReducedWord()  # every empty slot of a mu result shares it
-
 
 def mu(gen: AGenerator, n: int) -> FStarElement:
     """Normal form of a generator: its chord letter at slot i, the inverse
@@ -45,7 +43,7 @@ def mu(gen: AGenerator, n: int) -> FStarElement:
     """
     if not (1 <= gen.i <= n and 1 <= gen.j <= n):
         raise ValueError(f"slots out of range 1..{n}: {gen}")
-    comps = [_EMPTY] * n
+    comps = [EMPTY_WORD] * n
     if gen.i != gen.j:
         comps[gen.i - 1] = ReducedWord._trusted(((gen.chord, 1),))
         comps[gen.j - 1] = ReducedWord._trusted(((gen.chord, -1),))

@@ -102,15 +102,17 @@ def integer_rank(mat: list[list[int]]) -> int:
     return r
 
 
-def identity_suite_every_trial(seed: int, n: int, t: int,
-                               trials: int) -> oracle.OracleReport:
-    """``oracle.identity_suite`` checking every trial, a repeated one too:
-    the same draws, generators (through ``oracle.mu`` at call time), laws
-    and failure texts, with nothing reused between trials."""
+def identity_trials_every_trial(seed: int, n: int, t: int,
+                                trials: int) -> list[tuple[int, list]]:
+    """Per trial of ``oracle.identity_suite``, the number of laws checked and
+    the failures, every trial checked, a repeated one too: the same draws,
+    generators (through ``oracle.mu`` at call time), laws and failure texts,
+    with nothing reused between trials.  The draws of k trials are the first
+    k draws of more, so the first k entries are the k-trial suite's."""
     if t < 1 or n < 4:
         raise ValueError(f"need t >= 1 and n >= 4, got t={t} n={n}")
     chords = [f"x{k}" for k in range(1, t + 1)]
-    report = oracle.OracleReport(f"identity-suite(seed={seed},n={n},t={t})")
+    results = []
     cache = oracle._Generators(n, {})
     mul = oracle._mul
     draws = oracle._trial_draws(random.Random(seed), n, chords, trials)
@@ -135,11 +137,9 @@ def identity_suite_every_trial(seed: int, n: int, t: int,
             ("fork-exchange", mul(u_li, v_ij, u_jl, w_lk),
              mul(w_lk, u_ki, v_ij, u_jk)),
         )
-        report.checks_run += len(sides)
-        for check_id, lhs, rhs in sides:
-            if lhs != rhs:
-                inputs = f"i={i} j={j} k={k} l={l} x={x} y={y} z={z} u={u} v={v} w={w}"
-                report.failures.append((check_id, inputs,
-                                        oracle._decode(rhs, cache.codes),
-                                        oracle._decode(lhs, cache.codes)))
-    return report
+        inputs = f"i={i} j={j} k={k} l={l} x={x} y={y} z={z} u={u} v={v} w={w}"
+        results.append((len(sides), [
+            (check_id, inputs, oracle._decode(rhs, cache.codes),
+             oracle._decode(lhs, cache.codes))
+            for check_id, lhs, rhs in sides if lhs != rhs]))
+    return results

@@ -470,6 +470,11 @@ def test_psi_perm_tree_edge_transposition(sixpts_ctx):
     assert psi_perm(sixpts_ctx, s) == ("a",)
 
 
+def test_psi_perm_rejects_size_mismatch(sixpts_ctx):
+    with pytest.raises(ValueError, match=r"^size mismatch: 5 vs 6$"):
+        psi_perm(sixpts_ctx, Permutation.identity(5))
+
+
 def test_psi_perm_star_example():
     ctx = build_context(parse_graph("1 2 a\n1 3 c"))
     assert psi_perm(ctx, Permutation.from_cycles(3, [(2, 3)])) == ("a", "c", "a")

@@ -119,6 +119,11 @@ def test_size_mismatch_raises():
         fstar_mul(FStarElement.identity(2), FStarElement.identity(3))
 
 
+def test_slot_action_rejects_size_mismatch():
+    with pytest.raises(ValueError, match=r"^size mismatch: 2 vs 3$"):
+        sn_act_f(Permutation.identity(2), FStarElement.identity(3))
+
+
 # --------------------------------------------------------- abelianization
 
 

@@ -161,6 +161,13 @@ def test_graph_names_failing_row(edges, row, text):
     assert (str(info.value), info.value.row) == (text, row)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_graph_needs_a_vertex(n):
+    with pytest.raises(GraphError) as info:
+        Graph(n, [])
+    assert (str(info.value), info.value.row) == (f"need at least one vertex, got n={n}", None)
+
+
 def test_parse_error_carries_line_not_row():
     with pytest.raises(GraphParseError) as info:
         parse_graph("# c\n1 2 a\n\n2 3 a\n")

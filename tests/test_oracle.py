@@ -24,6 +24,8 @@ from coxgraph.freeprod import (
 )
 from coxgraph.graphs import edge_subgraph, parse_graph
 from coxgraph.oracle import (
+    IDENTITY_MEMO_MAX_INSTANCES,
+    OracleReport,
     ab_rank,
     check_relators,
     full_suite,
@@ -35,7 +37,7 @@ from coxgraph.oracle import (
 )
 from coxgraph.perms import Permutation, compose
 from coxgraph.presentation import AGenerator, mu, relators
-from reference import bfs_group_order, identity_suite_every_trial, integer_rank
+from reference import bfs_group_order, identity_trials_every_trial, integer_rank
 
 
 # ---------------------------------------------------------- check_relators
@@ -101,6 +103,21 @@ def test_relator_failure_text():
         "FAIL relators (13 checks)\n"
         "  semidirect-image: a x a x a x: expected identity, "
         "got () | 1: x x x, 2: x^-1 x^-1 x^-1"
+    )
+
+
+def test_permutation_failure_text(monkeypatch):
+    """Planted fault: a permutation evaluator that reads the word's first
+    letter once more kills every symmetric relator, each rendered with its
+    permutation."""
+    real = oracle.perm_of_word
+    monkeypatch.setattr(oracle, "perm_of_word",
+                        lambda g, w: real(g, tuple(w) + tuple(w[:1])))
+    assert check_relators(build_context(path_graph(3))).render() == (
+        "FAIL relators (6 checks)\n"
+        "  permutation-image: a a: expected (), got (1 2)\n"
+        "  permutation-image: b b: expected (), got (2 3)\n"
+        "  permutation-image: a b a b a b: expected (), got (1 2)"
     )
 
 
@@ -479,16 +496,21 @@ def test_identity_suite_matches_every_trial_reference(monkeypatch, faulty):
     """Checking a repeated trial once changes nothing in the report, planted
     fault or not: the same count and the same failure lines, a repeated
     failing trial's lines again, also past the 24 distinct instances of
-    n = 4, t = 1."""
+    n = 4, t = 1, and above the memo bound (n = 6, t = 3).  The reference
+    runs once per case; a 100-trial suite is its first 100 trials."""
     if faulty:
         monkeypatch.setattr(oracle, "mu", flipped_mu)
     repeated = 0
     for n, t in ((4, 1), (5, 1), (4, 2), (6, 3)):
         for seed in range(1, 21):
+            every_trial = identity_trials_every_trial(seed, n, t, 500)
             for trials in (100, 500):
                 report = identity_suite(seed, n, t, trials)
-                assert report.render() == identity_suite_every_trial(
-                    seed, n, t, trials).render(), (n, t, seed, trials)
+                head = every_trial[:trials]
+                assert report == OracleReport(
+                    f"identity-suite(seed={seed},n={n},t={t})",
+                    sum(laws for laws, _ in head),
+                    [f for _, found in head for f in found]), (n, t, seed, trials)
                 assert report.checks_run == 10 * trials
                 repeated += len(report.failures) - len(set(report.failures))
     assert bool(repeated) == faulty
@@ -510,6 +532,53 @@ def test_identity_suite_checks_each_distinct_trial_once(monkeypatch):
     assert len(draws) < 200
     assert identity_suite(seed=1, n=4, t=1, trials=200).checks_run == 2000
     assert calls == 18 * len(draws)
+
+
+@pytest.mark.parametrize("n, t, memo", [
+    (4, 3, True), (8, 1, True), (5, 3, False), (6, 3, False), (7, 3, False),
+])
+def test_identity_memo_bound(n, t, memo):
+    """The memo is kept exactly when there are at most 2^16 distinct draws,
+    n(n-1)(n-2)(n-3)·t^6: on k4 (t = 3) and c8 but not on book33, sixpts or
+    rand7."""
+    instances = n * (n - 1) * (n - 2) * (n - 3) * t ** 6
+    assert (instances <= IDENTITY_MEMO_MAX_INSTANCES) == memo
+    assert IDENTITY_MEMO_MAX_INSTANCES == 2 ** 16
+
+
+def test_identity_suite_checks_every_trial_above_the_memo_bound(monkeypatch):
+    """n = 6, t = 3 has 262,440 instances, so every trial is checked, a
+    repeated one too."""
+    calls = 0
+    mul = oracle._mul
+
+    def counting_mul(*factors):
+        nonlocal calls
+        calls += 1
+        return mul(*factors)
+
+    monkeypatch.setattr(oracle, "_mul", counting_mul)
+    assert identity_suite(seed=1, n=6, t=3, trials=300).checks_run == 3000
+    assert calls == 18 * 300
+
+
+def test_identity_memory_does_not_grow_with_trials():
+    """Above the memo bound no trial's result is kept, so 4,000 trials at
+    n = 12, t = 3 peak within 64 KB of 500 (a memo of every draw took about
+    1.0 MB more)."""
+    identity_suite(1, 12, 3, 10)
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            report = identity_suite(1, 12, 3, trials)
+            _, top = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.ok and report.checks_run == 10 * trials
+        return top
+
+    assert peak(4_000) - peak(500) < 64 * 1024
 
 
 def _random_fstar(rng, n):

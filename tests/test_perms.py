@@ -45,6 +45,17 @@ def test_not_a_permutation_rejected():
         Permutation([1, 1, 3])
 
 
+@pytest.mark.parametrize("a, b", [(1, 1), (0, 2), (2, 4)])
+def test_transposition_rejects_bad_endpoints(a, b):
+    with pytest.raises(ValueError, match=rf"^bad transposition \({a} {b}\) in S_3$"):
+        Permutation.transposition(3, a, b)
+
+
+def test_compose_rejects_size_mismatch():
+    with pytest.raises(ValueError, match=r"^size mismatch: 2 vs 3$"):
+        compose(Permutation.identity(2), Permutation.identity(3))
+
+
 def test_cycle_display():
     assert str(Permutation.identity(4)) == "()"
     assert str(Permutation([3, 1, 2])) == "(1 3 2)"
