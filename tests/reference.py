@@ -102,8 +102,8 @@ def integer_rank(mat: list[list[int]]) -> int:
     return r
 
 
-def identity_trials_every_trial(seed: int, n: int, t: int,
-                                trials: int) -> list[tuple[int, list]]:
+def identity_suite_per_trial(seed: int, n: int, t: int,
+                             trials: int) -> list[tuple[int, list]]:
     """Per trial of ``oracle.identity_suite``, the number of laws checked and
     the failures, every trial checked, a repeated one too: the same draws,
     generators (through ``oracle.mu`` at call time), laws and failure texts,

@@ -24,7 +24,6 @@ from coxgraph.freeprod import (
 )
 from coxgraph.graphs import edge_subgraph, parse_graph
 from coxgraph.oracle import (
-    IDENTITY_MEMO_MAX_INSTANCES,
     OracleReport,
     ab_rank,
     check_relators,
@@ -37,7 +36,7 @@ from coxgraph.oracle import (
 )
 from coxgraph.perms import Permutation, compose
 from coxgraph.presentation import AGenerator, mu, relators
-from reference import bfs_group_order, identity_trials_every_trial, integer_rank
+from reference import bfs_group_order, identity_suite_per_trial, integer_rank
 
 
 # ---------------------------------------------------------- check_relators
@@ -503,7 +502,7 @@ def test_identity_suite_matches_every_trial_reference(monkeypatch, faulty):
     repeated = 0
     for n, t in ((4, 1), (5, 1), (4, 2), (6, 3)):
         for seed in range(1, 21):
-            every_trial = identity_trials_every_trial(seed, n, t, 500)
+            every_trial = identity_suite_per_trial(seed, n, t, 500)
             for trials in (100, 500):
                 report = identity_suite(seed, n, t, trials)
                 head = every_trial[:trials]
@@ -516,56 +515,48 @@ def test_identity_suite_matches_every_trial_reference(monkeypatch, faulty):
     assert bool(repeated) == faulty
 
 
+def _count_mul_calls(monkeypatch) -> list[int]:
+    """Count the ``oracle._mul`` calls from now on in the returned list's
+    one entry."""
+    calls = [0]
+    mul = oracle._mul
+
+    def counting_mul(*factors):
+        calls[0] += 1
+        return mul(*factors)
+
+    monkeypatch.setattr(oracle, "_mul", counting_mul)
+    return calls
+
+
 def test_identity_suite_checks_each_distinct_trial_once(monkeypatch):
     """Each distinct draw costs its 18 products once: n = 4, t = 1 has 24
     instances, so 200 trials repeat most of them."""
-    calls = 0
-    mul = oracle._mul
-
-    def counting_mul(*factors):
-        nonlocal calls
-        calls += 1
-        return mul(*factors)
-
-    monkeypatch.setattr(oracle, "_mul", counting_mul)
+    calls = _count_mul_calls(monkeypatch)
     draws = set(oracle._trial_draws(random.Random(1), 4, ["x1"], 200))
     assert len(draws) < 200
     assert identity_suite(seed=1, n=4, t=1, trials=200).checks_run == 2000
-    assert calls == 18 * len(draws)
+    assert calls == [18 * len(draws)]
 
 
-@pytest.mark.parametrize("n, t, memo", [
-    (4, 3, True), (8, 1, True), (5, 3, False), (6, 3, False), (7, 3, False),
-])
-def test_identity_memo_bound(n, t, memo):
-    """The memo is kept exactly when there are at most 2^16 distinct draws,
-    n(n-1)(n-2)(n-3)·t^6: on k4 (t = 3) and c8 but not on book33, sixpts or
-    rand7."""
-    instances = n * (n - 1) * (n - 2) * (n - 3) * t ** 6
-    assert (instances <= IDENTITY_MEMO_MAX_INSTANCES) == memo
-    assert IDENTITY_MEMO_MAX_INSTANCES == 2 ** 16
-
-
-def test_identity_suite_checks_every_trial_above_the_memo_bound(monkeypatch):
-    """n = 6, t = 3 has 262,440 instances, so every trial is checked, a
-    repeated one too."""
-    calls = 0
-    mul = oracle._mul
-
-    def counting_mul(*factors):
-        nonlocal calls
-        calls += 1
-        return mul(*factors)
-
-    monkeypatch.setattr(oracle, "_mul", counting_mul)
-    assert identity_suite(seed=1, n=6, t=3, trials=300).checks_run == 3000
-    assert calls == 18 * 300
+@pytest.mark.parametrize("n, t, memo", [(4, 3, True), (5, 3, False), (6, 3, False)],
+                         ids=["k4", "book33", "sixpts"])
+def test_identity_memo_bound(monkeypatch, n, t, memo):
+    """A repeated draw is checked once only up to 2^16 distinct draws,
+    n(n-1)(n-2)(n-3)·t^6: on k4 (17,496) but not on book33 (87,480) or
+    sixpts (262,440), where every trial costs its 18 products."""
+    calls = _count_mul_calls(monkeypatch)
+    chords = [f"x{k}" for k in range(1, t + 1)]
+    distinct = len(set(oracle._trial_draws(random.Random(1), n, chords, 2000)))
+    assert distinct < 2000
+    assert identity_suite(seed=1, n=n, t=t, trials=2000).checks_run == 20_000
+    assert calls == [18 * (distinct if memo else 2000)]
 
 
 def test_identity_memory_does_not_grow_with_trials():
-    """Above the memo bound no trial's result is kept, so 4,000 trials at
-    n = 12, t = 3 peak within 64 KB of 500 (a memo of every draw took about
-    1.0 MB more)."""
+    """Above the memo bound no trial's result is kept, so 2,000 trials at
+    n = 12, t = 3 peak within 64 KB of 250 (a memo of every draw took about
+    0.5 MB more)."""
     identity_suite(1, 12, 3, 10)
 
     def peak(trials):
@@ -578,7 +569,7 @@ def test_identity_memory_does_not_grow_with_trials():
         assert report.ok and report.checks_run == 10 * trials
         return top
 
-    assert peak(4_000) - peak(500) < 64 * 1024
+    assert peak(2_000) - peak(250) < 64 * 1024
 
 
 def _random_fstar(rng, n):
