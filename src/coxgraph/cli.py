@@ -12,16 +12,17 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import chain
 from pathlib import Path
 
 from .embedding import (
     Classification,
     Context,
+    TextWord,
     VerdictKind,
     build_context,
     equal,
     is_trivial,
-    parse_word,
     phi,
     psi_gen,
     psi_perm,
@@ -230,16 +231,16 @@ def _print_verdict(ctx: Context, verdict, porcelain: bool) -> int:
 
 def _cmd_solve(args) -> int:
     ctx = _load_context(args.file)
-    return _print_verdict(ctx, is_trivial(ctx, parse_word(args.word)), args.porcelain)
+    return _print_verdict(ctx, is_trivial(ctx, TextWord(args.word)), args.porcelain)
 
 
 def _cmd_equal(args) -> int:
     ctx = _load_context(args.file)
-    w1, w2 = parse_word(args.word1), parse_word(args.word2)
+    w1, w2 = TextWord(args.word1), TextWord(args.word2)
     try:
         verdict = equal(ctx, w1, w2)
     except UnknownLabelError:
-        for label in w1 + w2:  # name the first unknown in reading order
+        for label in chain(w1, w2):  # name the first unknown in reading order
             ctx.graph.edge(label)
         raise
     return _print_verdict(ctx, verdict, args.porcelain)
@@ -247,7 +248,7 @@ def _cmd_equal(args) -> int:
 
 def _cmd_kernel(args) -> int:
     ctx = _load_context(args.file)
-    g = phi(ctx, parse_word(args.word))
+    g = phi(ctx, TextWord(args.word))
     member = g.perm.is_identity()
     if args.porcelain:
         print(f"kernel={str(member).lower()}")

@@ -11,8 +11,10 @@ the free-group side is only a quotient; verdicts say so explicitly.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+import re
+from collections.abc import Iterable, Iterator
 from enum import Enum
+from itertools import chain
 
 from ._record import Record
 from .freeprod import EMPTY_WORD, FStarElement, Letter, ReducedWord, SemidirectElement
@@ -29,9 +31,44 @@ from .perms import Permutation
 from .presentation import AGenerator, EdgeWord, mu
 
 
+# Characters per slice of a word's text.  A slice ends at whitespace, so a
+# longer token extends its slice; on ``str``, ``\s`` is ``str.isspace()``.
+WORD_CHUNK = 4096
+_SPACE = re.compile(r"\s")
+
+
+def _tokens(text: str, backward: bool = False) -> Iterator[str]:
+    """``text.split()``'s tokens, last first if ``backward``, split from
+    slices of about ``WORD_CHUNK`` characters."""
+    cuts, at = [0], WORD_CHUNK
+    while at < len(text) and (space := _SPACE.search(text, at)):
+        cuts.append(space.start())
+        at = space.start() + WORD_CHUNK
+    spans = list(zip(cuts, cuts[1:] + [len(text)]))
+    if backward:
+        return chain.from_iterable(reversed(text[a:b].split()) for a, b in spans[::-1])
+    return chain.from_iterable(text[a:b].split() for a, b in spans)
+
+
+class TextWord(Record):
+    """A word kept as its text: iterating it, or ``reversed`` of it, reads
+    its letters a slice at a time."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        object.__setattr__(self, "text", text)
+
+    def __iter__(self) -> Iterator[str]:
+        return _tokens(self.text)
+
+    def __reversed__(self) -> Iterator[str]:
+        return _tokens(self.text, backward=True)
+
+
 def parse_word(text: str) -> EdgeWord:
     """Split a whitespace-separated word into its letters."""
-    return tuple(text.split())
+    return tuple(_tokens(text))
 
 
 def reverse_word(w: EdgeWord) -> EdgeWord:
@@ -299,7 +336,13 @@ def is_trivial(ctx: Context, w: Iterable[str]) -> Verdict:
 
 
 def equal(ctx: Context, w1: Iterable[str], w2: Iterable[str]) -> Verdict:
-    return is_trivial(ctx, tuple(w1) + reverse_word(tuple(w2)))
+    """Decide w1 = w2 as one pass over w1 then w2 last letter first; a w2
+    that ``reversed`` cannot read backward is read into a tuple first."""
+    try:
+        back = reversed(w2)
+    except TypeError:
+        back = reversed(tuple(w2))
+    return is_trivial(ctx, chain(w1, back))
 
 
 def in_kernel(ctx: Context, w: Iterable[str]) -> tuple[bool, FStarElement]:

@@ -59,6 +59,8 @@ class Edge(Record):
 class Graph:
     """An immutable simple graph with labeled edges on vertices 1..n."""
 
+    __setattr__, __delattr__ = Record.__setattr__, Record.__delattr__
+
     def __init__(self, n: int, edges: Iterable[tuple[str, int, int]]):
         if n < 1:
             raise GraphError(f"need at least one vertex, got n={n}")
@@ -82,16 +84,18 @@ class Graph:
             seen_labels.add(label)
             seen_pairs.add((lo, hi))
             normalized.append(Edge(label, lo, hi))
-        self.n = n
-        self.edges: tuple[Edge, ...] = tuple(sorted(normalized, key=lambda e: e.label))
-        self._by_label = {e.label: e for e in self.edges}
+        edges = tuple(sorted(normalized, key=lambda e: e.label))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "_by_label", {e.label: e for e in edges})
         # Only vertices on an edge get an entry, so a huge n with few edges
         # costs nothing before the connectivity check rejects it.
         adj: dict[int, list[tuple[int, str]]] = {}
-        for e in self.edges:
+        for e in edges:
             adj.setdefault(e.a, []).append((e.b, e.label))
             adj.setdefault(e.b, []).append((e.a, e.label))
-        self._adj = {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
+        object.__setattr__(self, "_adj",
+                           {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()})
 
     @property
     def labels(self) -> tuple[str, ...]:

@@ -244,21 +244,31 @@ def _encode(f: FStarElement, codes: dict[str, int]) -> dict[int, tuple[int, ...]
             for slot, w in enumerate(f.components, start=1) if w.letters}
 
 
-def _decode(element: dict[int, tuple[int, ...]], codes: dict[str, int]) -> str:
-    """The ``FStarElement`` text of a sparse element: ``1: x, 4: x^-1`` or ``1``."""
-    letter = {e * c: (x, e) for x, c in codes.items() for e in (1, -1)}
-    return ", ".join(f"{slot}: {ReducedWord._trusted(tuple(map(letter.get, word)))}"
+def _letters(codes: dict[str, int]) -> dict[int, str]:
+    """Each signed code's letter as ``ReducedWord`` prints it: c -> ``x``,
+    -c -> ``x^-1``."""
+    return {e * c: str(ReducedWord._trusted(((x, e),)))
+            for x, c in codes.items() for e in (1, -1)}
+
+
+def _decode(element: dict[int, tuple[int, ...]], letters: dict[int, str]) -> str:
+    """The ``FStarElement`` text of a sparse element, read through
+    ``_letters(codes)``: ``1: x, 4: x^-1`` or ``1``."""
+    return ", ".join(f"{slot}: {' '.join(map(letters.__getitem__, word))}"
                      for slot, word in sorted(element.items())) or "1"
 
 
 class _Generators(dict):
-    """(chord, i, j) -> x_{ij}'s ``mu``, encoded with ``codes`` on first lookup."""
+    """(chord, i, j) -> x_{ij}'s ``mu``, encoded with ``codes`` on first
+    lookup; ``letters`` decodes them, rebuilt only when ``codes`` grows."""
 
     def __init__(self, n: int, codes: dict[str, int]):
-        self.n, self.codes = n, codes
+        self.n, self.codes, self.letters = n, codes, _letters(codes)
 
     def __missing__(self, key: tuple[str, int, int]) -> dict[int, tuple[int, ...]]:
         value = self[key] = _encode(mu(AGenerator(*key), self.n), self.codes)
+        if len(self.letters) != 2 * len(self.codes):
+            self.letters = _letters(self.codes)
         return value
 
 
@@ -325,8 +335,8 @@ def _trial(cache, i, j, k, l, x, y, z, u, v, w) -> tuple[int, list[Failure]]:
     for check_id, lhs, rhs in sides:
         if lhs != rhs:
             inputs = f"i={i} j={j} k={k} l={l} x={x} y={y} z={z} u={u} v={v} w={w}"
-            failures.append((check_id, inputs, _decode(rhs, cache.codes),
-                             _decode(lhs, cache.codes)))
+            failures.append((check_id, inputs, _decode(rhs, cache.letters),
+                             _decode(lhs, cache.letters)))
     return len(sides), failures
 
 

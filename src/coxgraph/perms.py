@@ -9,22 +9,30 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
+from ._record import Record
+
 
 class Permutation:
+    """The images of 1..n, read-only as in a ``Record``."""
+
     __slots__ = ("images",)
+    __setattr__, __delattr__ = Record.__setattr__, Record.__delattr__
 
     def __init__(self, images: Sequence[int]):
         images = tuple(images)
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError(f"not a permutation of 1..{len(images)}: {images}")
-        self.images = images
+        object.__setattr__(self, "images", images)
 
     @classmethod
     def _trusted(cls, images: tuple[int, ...]) -> "Permutation":
         """Wrap images already known to be a permutation, without validation."""
         p = object.__new__(cls)
-        p.images = images
+        object.__setattr__(p, "images", images)
         return p
+
+    def __reduce__(self):
+        return type(self), (self.images,)
 
     @classmethod
     def _trusted_inverse(cls, where: Sequence[int]) -> "Permutation":

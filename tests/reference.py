@@ -139,7 +139,7 @@ def identity_suite_per_trial(seed: int, n: int, t: int,
         )
         inputs = f"i={i} j={j} k={k} l={l} x={x} y={y} z={z} u={u} v={v} w={w}"
         results.append((len(sides), [
-            (check_id, inputs, oracle._decode(rhs, cache.codes),
-             oracle._decode(lhs, cache.codes))
+            (check_id, inputs, oracle._decode(rhs, cache.letters),
+             oracle._decode(lhs, cache.letters))
             for check_id, lhs, rhs in sides if lhs != rhs]))
     return results

@@ -1,10 +1,12 @@
 import json
 import os
+import random
 import re
 import shlex
 import signal
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -97,6 +99,40 @@ def test_equal_names_first_unknown_label_in_reading_order(files, capsys):
     assert code == 1
     assert out == ""
     assert err == "error: unknown edge label 'zz'\n"
+
+
+@pytest.mark.parametrize("w1, w2, first", [
+    ("a b", "c zz a qq", "zz"),
+    ("a\u3000b", "zz\x1cc\x85" + "a " * 5_000 + "qq\xa0", "zz"),
+    ("a yy", "zz c qq", "yy"),
+    ("b " * 5_000 + "yy", "zz c", "yy"),
+], ids=["two-in-w2", "two-in-long-w2", "w1-and-w2", "long-w1-and-w2"])
+def test_equal_names_first_of_several_unknown_labels(files, capsys, w1, w2, first):
+    """w2 is evaluated from its end, so the pass meets its last unknown
+    label first; the error names the first one in reading order, w1 then
+    w2, also past a slice boundary and across exotic whitespace."""
+    code, out, err = invoke(capsys, "equal", files["triangle"], w1, w2)
+    assert (code, out, err) == (1, "", f"error: unknown edge label {first!r}\n")
+
+
+def test_word_queries_memory_follows_the_normal_form(files, capsys):
+    """Words are read a slice at a time, so no query holds all its letters:
+    on a 60,000-letter word of ``sixpts``, ``equal W W``, ``solve`` and
+    ``kernel`` peak under 400 KB (read into tuples first, they took
+    1.0-2.4 MB; streamed, 150-230 KB)."""
+    rng = random.Random(11)
+    word = " ".join(rng.choice("abcdexyz") for _ in range(60_000))
+    for argv in (["equal", files["sixpts"], word, word], ["solve", files["sixpts"], word],
+                 ["kernel", files["sixpts"], word]):
+        assert run(argv) == 0
+        tracemalloc.start()
+        try:
+            code = run(argv)
+            _, top = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0 and top < 400 * 1024, (argv[0], top)
 
 
 def test_internal_key_error_is_not_a_user_error(files, monkeypatch):

@@ -1,4 +1,5 @@
 import random
+import sys
 from functools import reduce
 from itertools import permutations
 
@@ -10,6 +11,7 @@ from coxgraph import embedding
 from coxgraph.corpus import complete4, cycle_graph, path_graph, sixpts_graph
 from coxgraph.embedding import (
     Classification,
+    TextWord,
     VerdictKind,
     build_context,
     cycle_rotation,
@@ -613,6 +615,17 @@ def test_equal_via_inverse(triangle_ctx):
     assert v.kind is VerdictKind.NONTRIVIAL
 
 
+def test_equal_reads_any_second_word(sixpts_ctx):
+    """w2 may be a ``TextWord``, a tuple or an iterator that ``reversed``
+    cannot read backward; all give the verdict of the tuples."""
+    w1, w2 = "c e c x a b", "x c e c a b z z"
+    expected = equal(sixpts_ctx, parse_word(w1), parse_word(w2))
+    assert expected.kind is VerdictKind.NONTRIVIAL
+    for second in (TextWord(w2), parse_word(w2), iter(w2.split())):
+        assert equal(sixpts_ctx, TextWord(w1), second) == expected
+    assert equal(sixpts_ctx, iter(w1.split()), TextWord(w1)).kind is VerdictKind.TRIVIAL
+
+
 def test_in_kernel(sixpts_ctx):
     member, f = in_kernel(sixpts_ctx, parse_word("c e c x"))
     assert member and f == mu(AGenerator("x", 1, 4), 6)
@@ -620,6 +633,61 @@ def test_in_kernel(sixpts_ctx):
     assert not member
     nontree = psi_gen(sixpts_ctx, AGenerator("y", 2, 5))
     assert in_kernel(sixpts_ctx, nontree)[0]
+
+
+# --------------------------------------------------------------- tokenizer
+
+WHITESPACE = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
+
+
+def test_tokenizer_cuts_at_exactly_the_split_whitespace():
+    """The tokenizer cuts where ``re``'s ``\\s`` matches; on ``str`` that is
+    the set ``str.isspace()`` gives, the set ``str.split()`` cuts at, the
+    file, group and unit separators, NEL, NBSP and ideographic space too."""
+    space = embedding._SPACE
+    assert all(bool(space.match(c)) == c.isspace()
+               for c in map(chr, range(sys.maxunicode + 1)))
+    assert {"\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2009", "\u3000"} <= set(WHITESPACE)
+
+
+@st.composite
+def word_texts(draw):
+    """A text of graph labels and unknown tokens, some longer than the
+    default chunk, between runs of any whitespace characters."""
+    token = st.one_of(
+        st.sampled_from(["a", "b", "x", "e1", "x07", "zz"]),
+        st.text(st.characters(exclude_characters=WHITESPACE), min_size=1, max_size=9),
+        st.integers(1, embedding.WORD_CHUNK + 20).map(lambda k: "w" * k),
+    )
+    space = st.text(st.sampled_from(WHITESPACE), min_size=1, max_size=3)
+    tokens = draw(st.lists(token, max_size=30))
+    parts = [draw(st.one_of(st.just(""), space))]
+    for t in tokens:
+        parts += [t, draw(space)]
+    if tokens and draw(st.booleans()):
+        parts.pop()
+    return "".join(parts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(word_texts(), st.sampled_from([1, 2, 7, embedding.WORD_CHUNK]))
+def test_tokenizer_yields_the_split_tokens(text, chunk):
+    """Forward and backward, in slices of any size, the tokens are
+    ``text.split()``'s, and ``parse_word`` returns their tuple."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(embedding, "WORD_CHUNK", chunk)
+        word = TextWord(text)
+        assert list(word) == text.split()
+        assert list(reversed(word)) == text.split()[::-1]
+        assert parse_word(text) == tuple(text.split())
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, embedding.WORD_CHUNK])
+def test_tokenizer_on_empty_and_blank_texts(monkeypatch, chunk):
+    monkeypatch.setattr(embedding, "WORD_CHUNK", chunk)
+    for text in ("", " ", "".join(WHITESPACE), "\n\u3000\t" * 3000):
+        assert list(TextWord(text)) == list(reversed(TextWord(text))) == []
+        assert parse_word(text) == ()
 
 
 # -------------------------------------------------------------- structure

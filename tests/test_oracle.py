@@ -583,14 +583,18 @@ def _random_fstar(rng, n):
 def test_slot_words_render_like_fstar():
     """Integer-coded elements decode to the ``FStarElement`` text."""
     codes = {}
+
+    def round_trip(f):
+        return oracle._decode(oracle._encode(f, codes), oracle._letters(codes))
+
     f = mu(AGenerator("x", 1, 4), 5)
-    assert oracle._decode(oracle._encode(f, codes), codes) == str(f) == "1: x, 4: x^-1"
+    assert round_trip(f) == str(f) == "1: x, 4: x^-1"
     assert codes == {"x": 1}
-    assert oracle._decode({}, codes) == "1"
+    assert oracle._decode({}, oracle._letters(codes)) == "1"
     rng = random.Random(7)
     for _ in range(500):
         f = _random_fstar(rng, 5)
-        assert oracle._decode(oracle._encode(f, codes), codes) == str(f)
+        assert round_trip(f) == str(f)
     assert codes == {"x": 1, "y": 2}
 
 
@@ -606,7 +610,7 @@ def test_slot_words_product_matches_fstar_mul():
             q = FStarElement(tuple(w.inverse() for w in p.components))
         product = oracle._mul(oracle._encode(p, codes), oracle._encode(q, codes))
         assert product == oracle._encode(fstar_mul(p, q), codes)
-        assert oracle._decode(product, codes) == str(fstar_mul(p, q))
+        assert oracle._decode(product, oracle._letters(codes)) == str(fstar_mul(p, q))
         cancelled += not product and p != FStarElement.identity(4)
     assert cancelled > 100
 

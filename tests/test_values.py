@@ -123,6 +123,34 @@ def test_unequal_across_classes_with_equal_fields():
     assert Edge("x", 1, 4) != AGenerator("x", 1, 4)
 
 
+@pytest.mark.parametrize("make, name", [
+    (lambda: Permutation([2, 1, 3]), "images"),
+    (lambda: Permutation.identity(3), "images"),
+    (lambda: Graph(2, [("a", 1, 2)]), "n"),
+    (lambda: Graph(2, [("a", 1, 2)]), "edges"),
+], ids=["Permutation", "Permutation-trusted", "Graph-n", "Graph-edges"])
+def test_graph_and_permutation_are_read_only(make, name):
+    """Both refuse assignment and deletion with the records' messages and
+    keep their value; their copies and pickles are equal to them."""
+    x = make()
+    before = getattr(x, name)
+    with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+        setattr(x, name, 5)
+    with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+        delattr(x, name)
+    assert getattr(x, name) is before and x == make()
+    for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert type(y) is type(x) and y == x
+
+
+def test_permutation_stays_in_its_set():
+    p = Permutation([2, 1, 3])
+    held = {p}
+    with pytest.raises(AttributeError):
+        p.images = (1, 2, 3)
+    assert p in held and p.images == (2, 1, 3)
+
+
 @pytest.mark.parametrize("letters, message", [
     ((("x", 1), ("x", -1)), "not freely reduced at x^1 x^-1"),
     ((("x", -1), ("y", 1), ("y", -1)), "not freely reduced at y^1 y^-1"),
