@@ -38,7 +38,8 @@ def _faulty_run(swap=True, slot_b=True, flip=False, miss7=False, tree_chord=Fals
     """A replacement for ``embedding._run`` with one fault: no slot swap, no
     letter at slot b, the chord's two letters exchanged, a cancellation
     missed on a stack whose length is a multiple of 7, or the last chord
-    stepping as a tree edge."""
+    stepping as a tree edge.  It keeps ``where`` and the slots apart and
+    returns them as ``_run``'s stacks, each vertex under its slot word."""
     def run(ctx, w):
         steps = dict(ctx.steps)
         if tree_chord and ctx.chords:
@@ -66,7 +67,7 @@ def _faulty_run(swap=True, slot_b=True, flip=False, miss7=False, tree_chord=Fals
                     stack.pop()
                 else:
                     stack.append(letter)
-        return where, slots
+        return [[v, *s] for v, s in zip(where, slots)]
     return lambda real: run
 
 

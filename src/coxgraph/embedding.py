@@ -97,6 +97,7 @@ class Context:
         self.n = graph.n
         self.t = len(cycles)
         self.home = list(range(1, graph.n + 1))  # where of the identity
+        self.identity_state = [[v] for v in self.home]  # _run of the empty word
         self.is_k4 = graph.n == 4 and len(graph.edges) == 6
         self._images: dict[str, SemidirectElement] = {}
         self.steps: dict[str, Step] = {}
@@ -130,52 +131,56 @@ def build_context(g: Graph) -> Context:
     return Context(g, t0, basic_cycles(g, t0))
 
 
-def _run(ctx: Context,
-         w: Iterable[str]) -> tuple[list[int], list[list[Letter]]]:
-    """The evaluator state after the word: ``where``, the inverse image list
-    of the permutation, and ``slots``, each slot's reduced word as a stack.
+def _run(ctx: Context, w: Iterable[str]) -> list[list]:
+    """The evaluator state after the word: one stack per position p.  Its
+    bottom entry is the vertex the permutation sends to p + 1, so the
+    bottoms list the inverse images; the entries above it are the reduced
+    word of slot p + 1, one letter each.
 
-    A letter on edge (a b) swaps entries a and b of both, which is the slot
-    action of its transposition; a chord letter x then appends x at slot a
-    and x^-1 at slot b, cancelling against the top instead where the top is
-    the inverse letter.  Every step keeps ``where`` a permutation and each
-    stack reduced.  Unknown labels raise in word order.
+    A letter on edge (a b) swaps stacks a and b, which is the action of its
+    transposition on vertices and slots alike; a chord letter x then pushes
+    x on stack a and x^-1 on stack b, popping the top instead where it is
+    the inverse letter.  A bottom is an int, never one of the shared letter
+    tuples, so no emptiness test is needed.  Every step keeps the bottoms a
+    permutation and each slot word reduced.  Unknown labels raise in word
+    order.
     """
     steps = ctx.steps
-    where = ctx.home.copy()
-    slots: list[list[Letter]] = [[] for _ in range(ctx.n)]
+    stacks = [[v] for v in ctx.home]
     for label in w:
         try:
             a, b, plus, minus = steps[label]
         except KeyError:
             raise UnknownLabelError(label) from None
-        where[a], where[b] = where[b], where[a]
-        sa, sb = slots[b], slots[a]
-        slots[a], slots[b] = sa, sb
+        sa = stacks[b]
+        sb = stacks[a]
+        stacks[a] = sa
+        stacks[b] = sb
         if plus is not None:
-            if sa and sa[-1] is minus:
+            if sa[-1] is minus:
                 sa.pop()
             else:
                 sa.append(plus)
-            if sb and sb[-1] is plus:
+            if sb[-1] is plus:
                 sb.pop()
             else:
                 sb.append(minus)
-    return where, slots
+    return stacks
 
 
 def phi(ctx: Context, w: Iterable[str]) -> SemidirectElement:
     """Evaluate an edge word in the semidirect product, first letter first.
 
     One pass over mutable state (``_run``), equal to the ``sd_mul`` fold of
-    the letter images but O(1) per letter; that state is a permutation and
-    reduced slot words, so the result is built unchecked.
+    the letter images but O(1) per letter; the stack bottoms form a
+    permutation and the entries above them reduced slot words, so the
+    result is built unchecked.
     """
-    where, slots = _run(ctx, w)
+    stacks = _run(ctx, w)
     return SemidirectElement(
-        Permutation._trusted_inverse(where),
-        FStarElement(tuple([ReducedWord._trusted(tuple(s)) if s else EMPTY_WORD
-                            for s in slots])),
+        Permutation._trusted_inverse([s[0] for s in stacks]),
+        FStarElement(tuple([ReducedWord._trusted(tuple(s[1:])) if len(s) > 1
+                            else EMPTY_WORD for s in stacks])),
     )
 
 
@@ -192,10 +197,7 @@ def trivial_image(ctx: Context, w: Iterable[str]) -> bool:
         except KeyError:
             raise UnknownLabelError(label) from None
         where[a], where[b] = where[b], where[a]
-    if where != ctx.home:
-        return False
-    where, slots = _run(ctx, w)
-    return where == ctx.home and not any(slots)
+    return where == ctx.home and _run(ctx, w) == ctx.identity_state
 
 
 def tilde(ctx: Context, cyc: BasicCycle, label: str) -> EdgeWord:

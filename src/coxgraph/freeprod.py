@@ -36,7 +36,7 @@ class ReducedWord(Record):
     def _trusted(cls, letters: tuple[Letter, ...]) -> "ReducedWord":
         """Wrap letters already known to be reduced, without validation."""
         w = object.__new__(cls)
-        object.__setattr__(w, "letters", letters)
+        _set_letters(w, letters)
         return w
 
     def __mul__(self, other: "ReducedWord") -> "ReducedWord":
@@ -70,6 +70,10 @@ class ReducedWord(Record):
     def __str__(self) -> str:
         return " ".join(x if e == 1 else f"{x}^-1" for x, e in self.letters) or "1"
 
+
+# The setter of the ``letters`` slot itself, which ``Record.__setattr__``
+# cannot block; only the trusted constructor calls it.
+_set_letters = ReducedWord.letters.__set__
 
 EMPTY_WORD = ReducedWord()  # shared by every empty slot the package builds
 

@@ -71,8 +71,7 @@ def check_relators(ctx: Context) -> OracleReport:
     symmetric = relators(ctx.graph, "symmetric")
     failures = []
     for rel in coxy:
-        where, slots = embedding._run(ctx, rel)
-        if where != ctx.home or any(slots):
+        if embedding._run(ctx, rel) != ctx.identity_state:
             failures.append(("semidirect-image", " ".join(rel), "identity",
                              str(phi(ctx, rel))))
     for rel in symmetric:
@@ -109,10 +108,26 @@ def group_order(gens: Sequence[Permutation]) -> int:
     top = [q for q in (tuple(b - 1 for b in g.images) for g in gens) if q != ident]
     if not top:
         return 1
-    levels: list[_Level] = []
-    full, order = math.factorial(n), 1  # order: the product of the orbit lengths
+    chain = _Chain(n, top)
+    chain.complete(0)
+    return chain.order
 
-    def sift(h: tuple[int, ...], start: int) -> tuple[tuple[int, ...], int]:
+
+class _Chain:
+    """A stabilizer chain being built, with the product of its orbit
+    lengths; its methods recurse through ``self``, so a finished chain
+    leaves no reference cycle behind."""
+
+    __slots__ = ("n", "ident", "full", "order", "levels")
+
+    def __init__(self, n: int, top: list[tuple[int, ...]]):
+        self.n, self.ident = n, tuple(range(n))
+        self.full, self.order = math.factorial(n), 1
+        self.levels = [_Level(next(p for p in range(n) if top[0][p] != p), n)]
+        self.levels[0].gens.extend(top)
+
+    def sift(self, h: tuple[int, ...], start: int) -> tuple[tuple[int, ...], int]:
+        levels = self.levels
         for k in range(start, len(levels)):
             lvl = levels[k]
             x = h[lvl.base]
@@ -123,8 +138,9 @@ def group_order(gens: Sequence[Permutation]) -> int:
             h = tuple(map(lvl.inverses[x].__getitem__, h))
         return h, len(levels)
 
-    def complete(i: int) -> bool:
-        nonlocal order
+    def complete(self, i: int) -> bool:
+        """Complete level i; True once the order reaches n!."""
+        levels = self.levels
         lvl = levels[i]
         while lvl.gens_done < len(lvl.gens) or lvl.points_done < len(lvl.reps):
             orbit = list(lvl.reps)
@@ -142,26 +158,22 @@ def group_order(gens: Sequence[Permutation]) -> int:
                     y = s[x]
                     step = tuple(map(s.__getitem__, rep))
                     if y not in lvl.reps:
-                        order = order // len(lvl.reps) * (len(lvl.reps) + 1)
+                        self.order = self.order // len(lvl.reps) * (len(lvl.reps) + 1)
                         lvl.add_point(y, step)
-                        if order == full:
+                        if self.order == self.full:
                             return True
                         continue
-                    h, j = sift(tuple(map(lvl.inverses[y].__getitem__, step)), i + 1)
-                    if h == ident:
+                    h, j = self.sift(tuple(map(lvl.inverses[y].__getitem__, step)), i + 1)
+                    if h == self.ident:
                         continue
                     if j == len(levels):
-                        levels.append(_Level(next(p for p in range(n) if h[p] != p), n))
+                        levels.append(_Level(next(p for p in range(self.n) if h[p] != p),
+                                             self.n))
                     for k in range(i + 1, j + 1):
                         levels[k].gens.append(h)
-                    if any(complete(k) for k in range(j, i, -1)):
+                    if any(self.complete(k) for k in range(j, i, -1)):
                         return True
         return False
-
-    levels.append(_Level(next(p for p in range(n) if top[0][p] != p), n))
-    levels[0].gens.extend(top)
-    complete(0)
-    return order
 
 
 class _Level:

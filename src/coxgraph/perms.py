@@ -28,7 +28,7 @@ class Permutation:
     def _trusted(cls, images: tuple[int, ...]) -> "Permutation":
         """Wrap images already known to be a permutation, without validation."""
         p = object.__new__(cls)
-        object.__setattr__(p, "images", images)
+        _set_images(p, images)
         return p
 
     def __reduce__(self):
@@ -110,6 +110,11 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation({list(self.images)})"
+
+
+# The setter of the ``images`` slot itself, which ``Permutation.__setattr__``
+# cannot block; only the trusted constructor calls it.
+_set_images = Permutation.images.__set__
 
 
 def compose(s: Permutation, t: Permutation) -> Permutation:

@@ -246,6 +246,16 @@ def test_display_formats():
 # ------------------------------------------------------------ letter erasure
 
 
+def test_erase_letter_keeps_the_other_letters():
+    """Only the named letter goes, and the rest is reduced again; the
+    mutant of ``erase_letter`` that keeps only the named letter (``!=`` ->
+    ``==``) is a homomorphism too, but fails here."""
+    p = FStarElement((ReducedWord((("x", 1), ("z", 1), ("x", -1), ("y", 1))),
+                      ReducedWord((("z", -1),)), ReducedWord((("y", -1),))))
+    assert erase_letter(p, "z") == FStarElement(
+        (ReducedWord((("y", 1),)), ReducedWord(), ReducedWord((("y", -1),))))
+
+
 @given(fstar_elements(), fstar_elements())
 def test_erasing_one_letter_is_a_homomorphism(p, q):
     assert erase_letter(fstar_mul(p, q), "z") == fstar_mul(

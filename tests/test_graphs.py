@@ -13,7 +13,7 @@ from coxgraph.corpus import (
     sixpts_graph,
     y_graph,
 )
-from coxgraph.embedding import build_context
+from coxgraph.embedding import VerdictKind, build_context, is_trivial
 from coxgraph.graphs import (
     DisconnectedError,
     Graph,
@@ -251,6 +251,18 @@ def test_huge_vertex_id_allocates_nothing_per_vertex():
     assert g.neighbors(1) == ((1000000, "a"),)
     with pytest.raises(DisconnectedError):
         build_context(Graph(10**6, [("a", 1, 2), ("b", 2, 3)]))
+
+
+def test_one_vertex_graph_is_connected_and_trivial():
+    """A single vertex with no edge is connected, its spanning tree is
+    empty and its group is trivial; the mutant of ``_tree_edges`` that
+    calls it disconnected (``g.n > 1`` -> ``g.n >= 1``) fails here."""
+    g = Graph(1, [])
+    assert is_connected(g)
+    assert spanning_tree(g).tree_edges == frozenset()
+    ctx = build_context(g)
+    assert (ctx.n, ctx.t) == (1, 0)
+    assert is_trivial(ctx, ()).kind is VerdictKind.TRIVIAL
 
 
 def test_isolated_vertex_disconnects():

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 import re
@@ -22,7 +23,7 @@ from coxgraph.freeprod import (
     reduce,
     sn_act_f,
 )
-from coxgraph.graphs import edge_subgraph, parse_graph
+from coxgraph.graphs import edge_subgraph, graph_text, parse_graph
 from coxgraph.oracle import (
     OracleReport,
     ab_rank,
@@ -122,13 +123,14 @@ def test_permutation_failure_text(monkeypatch):
 
 def test_corrupted_where_fails_relators(monkeypatch):
     """A relator's permutation is the identity, so its verdict comes from
-    the evaluator state; a ``where`` corrupted there must still fail."""
+    the evaluator state; a state whose stack bottoms (the inverse images)
+    are corrupted must still fail."""
     real_run = embedding._run
 
     def corrupted_run(ctx, w):
-        where, slots = real_run(ctx, w)
-        where[0], where[1] = where[1], where[0]
-        return where, slots
+        stacks = real_run(ctx, w)
+        stacks[0][0], stacks[1][0] = stacks[1][0], stacks[0][0]
+        return stacks
 
     monkeypatch.setattr(embedding, "_run", corrupted_run)
     report = check_relators(build_context(sixpts_graph()))
@@ -254,6 +256,52 @@ def test_group_order_of_s40():
 def test_group_order_rejects_mixed_sizes():
     with pytest.raises(ValueError):
         group_order([Permutation.identity(3), Permutation.identity(4)])
+
+
+def _entry_point_calls(g, ctx):
+    """One call of each library entry point on one graph, as thunks."""
+    rng = random.Random(g.n)
+    labels = sorted(g.labels)
+    w1, w2 = random_word(rng, labels), random_word(rng, labels)
+    cycle = Permutation(list(range(2, g.n + 1)) + [1])
+    calls = {
+        "parse_graph": lambda: parse_graph(graph_text(g)),
+        "build_context": lambda: build_context(g),
+        "phi": lambda: embedding.phi(ctx, w1 + w2),
+        "is_trivial": lambda: is_trivial(ctx, w1),
+        "equal": lambda: embedding.equal(ctx, w1, w2),
+        "in_kernel": lambda: embedding.in_kernel(ctx, w2),
+        "psi_perm": lambda: embedding.psi_perm(ctx, cycle),
+        "structure_report": lambda: embedding.structure_report(ctx),
+        "relators": lambda: [relators(g, which) for which in ("coxy", "symmetric")],
+        "full_suite": lambda: full_suite(ctx, 1, 20),
+    }
+    if ctx.chords:
+        calls["psi_gen"] = lambda: embedding.psi_gen(ctx, AGenerator(ctx.chords[0], 1, 2))
+    return calls
+
+
+ENTRY_POINTS = ("parse_graph", "build_context", "phi", "is_trivial", "equal",
+                "in_kernel", "psi_perm", "psi_gen", "structure_report",
+                "relators", "full_suite")
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_entry_points_leave_no_cyclic_garbage(name, corpus_contexts):
+    """With the cyclic collector off, no entry point leaves an object that
+    only a collection frees, on any corpus graph; ``group_order``'s
+    stabilizer chain (inside ``full_suite``) once did."""
+    for graph_name, ctx in corpus_contexts.items():
+        call = _entry_point_calls(ctx.graph, ctx).get(name)
+        if call is None:
+            continue
+        gc.collect()
+        gc.disable()
+        try:
+            call()
+            assert gc.collect() == 0, graph_name
+        finally:
+            gc.enable()
 
 
 def test_order_guard():

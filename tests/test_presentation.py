@@ -1,13 +1,13 @@
 import random
 from functools import reduce
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from coxgraph import presentation
-from coxgraph.corpus import cycle_graph, path_graph, sixpts_graph, y_graph
+from coxgraph.corpus import cycle_graph, path_graph, random7_graph, sixpts_graph, y_graph
 from coxgraph.freeprod import FStarElement, erase_letter, fstar_mul
 from coxgraph.graphs import cycle_rank, spanning_tree
 from coxgraph.perms import Permutation
@@ -145,6 +145,29 @@ def test_mu_kills_all_generator_relators():
         rs = relators(g, "atn")
         for rel in rs:
             assert mu_word(rel, g.n).is_identity(), rel
+
+
+def test_atn_relators_are_over_the_chords():
+    """Every generator of the "atn" presentation is over a chord, and each
+    chord has one; the mutant of ``_atn_relators`` that takes the tree
+    edges (``not in`` -> ``in``) fails here."""
+    for g in (sixpts_graph(), cycle_graph(5), random7_graph()):
+        chords = set(g.labels) - spanning_tree(g).tree_edges
+        used = {gen.chord for rel in relators(g, "atn") for gen, _ in rel}
+        assert used == chords
+
+
+def test_atn_disjoint_commutators_cover_every_slot_tuple():
+    """For each pair of chords, one commutator per ordered tuple of four
+    distinct slots, so slot 1 takes part; the mutant of
+    ``_disjoint_commutators`` over ``range(2, n + 1)`` fails here."""
+    g = sixpts_graph()
+    chords = sorted(set(g.labels) - spanning_tree(g).tree_edges)
+    commutators = [rel for rel in relators(g, "atn") if len(rel) == 4]
+    for x, y in combinations_with_replacement(chords, 2):
+        tuples = [(a.i, a.j, b.i, b.j) for (a, _), (b, _), _, _ in commutators
+                  if (a.chord, b.chord) == (x, y)]
+        assert sorted(tuples) == list(permutations(range(1, g.n + 1), 4))
 
 
 def test_mu_kills_random_disjoint_commutators():
