@@ -3,17 +3,20 @@
 
 Usage: python3 scripts/mutants.py [--seed S] [--trials K]
 
-Each fault replaces one module global that the code reads at call time
-(``embedding._run``, ``embedding.gamma``, ``embedding.tilde``, ``oracle.mu``
-or ``oracle.relators``) and is undone before the next.  Its row lists the
-kinds of ``full_suite`` report that fail, each with the number of corpus
-graphs it fails on.  A fault that no report catches is a survivor, unless
-it is equivalent: it changes no verdict, for the reason its row gives.
+Each fault is an exact edit of one real function's source, compiled in its
+module and planted, until the next fault, as the module global the code reads
+at call time: ``embedding._run``, ``gamma`` or ``tilde``, or ``oracle.mu`` or
+``oracle.relators`` (edits of ``presentation.mu`` and ``relators``).  Its row
+lists the kinds of ``full_suite`` report that fail, each with the number of
+corpus graphs it fails on.  A fault that no report catches is a survivor,
+unless it is equivalent: it changes no verdict, for the reason its row gives.
 Which tier-1 tests kill a fault is not computed here: that needs one full
 tier-1 run per fault.
 """
 
+import __future__
 import argparse
+import inspect
 import pathlib
 import sys
 from collections import Counter
@@ -21,121 +24,76 @@ from contextlib import contextmanager
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from coxgraph import embedding, oracle
+from coxgraph import embedding, oracle, presentation
 from coxgraph.cli import _positive_int
 from coxgraph.corpus import corpus
 from coxgraph.embedding import build_context
-from coxgraph.freeprod import FStarElement, ReducedWord
-from coxgraph.graphs import UnknownLabelError, tree_path_labels
 from coxgraph.oracle import full_suite
-from coxgraph.presentation import AGenerator
 
 # Report kinds in ``full_suite`` order: a report's name up to its "(".
 KINDS = ("relators", "symmetric-order", "kernel-rank", "identity-suite", "parabolic")
 
 
-def _faulty_run(swap=True, slot_b=True, flip=False, miss7=False, tree_chord=False):
-    """A replacement for ``embedding._run`` with one fault: no slot swap, no
-    letter at slot b, the chord's two letters exchanged, a cancellation
-    missed on a stack whose length is a multiple of 7, or the last chord
-    stepping as a tree edge.  It keeps ``where`` and the slots apart and
-    returns them as ``_run``'s stacks, each vertex under its slot word."""
-    def run(ctx, w):
-        steps = dict(ctx.steps)
-        if tree_chord and ctx.chords:
-            a, b, _, _ = steps[ctx.chords[-1]]
-            steps[ctx.chords[-1]] = (a, b, None, None)
-        where = ctx.home.copy()
-        slots = [[] for _ in range(ctx.n)]
-        for label in w:
-            try:
-                a, b, plus, minus = steps[label]
-            except KeyError:
-                raise UnknownLabelError(label) from None
-            where[a], where[b] = where[b], where[a]
-            if swap:
-                slots[a], slots[b] = slots[b], slots[a]
-            if plus is None:
-                continue
-            if flip:
-                plus, minus = minus, plus
-            pushes = [(slots[a], plus, minus)]
-            if slot_b:
-                pushes.append((slots[b], minus, plus))
-            for stack, letter, inverse in pushes:
-                if stack and stack[-1] is inverse and not (miss7 and len(stack) % 7 == 0):
-                    stack.pop()
-                else:
-                    stack.append(letter)
-        return [[v, *s] for v, s in zip(where, slots)]
-    return lambda real: run
+def edited(func, *edits):
+    """A fault factory: ``func`` with each ``(old, new)`` edit applied to its
+    source, compiled like it in its module's globals.  Each ``old`` must occur
+    exactly once in the source the edits so far have left."""
+    source = inspect.getsource(func)
+    for old, new in edits:
+        if (count := source.count(old)) != 1:
+            raise ValueError(f"{func.__name__}: {old!r} occurs {count} times, not once")
+        source = source.replace(old, new)
+    future = func.__code__.co_flags & __future__.annotations.compiler_flag
+    scope: dict = {}
+    exec(compile(source, inspect.getsourcefile(func), "exec", future, True),
+         func.__globals__, scope)
+    return lambda real: scope[func.__name__]
 
 
-def _gamma_without_prefix(real):
-    def gamma(ctx, cyc, a):
-        if cyc.local_index(a) is not None:
-            return real(ctx, cyc, a)
-        start = cyc.local_to_global[0]
-        return real(ctx, cyc, start) + tree_path_labels(ctx.tree, start, a)
-    return gamma
-
-
-def _tilde_without_one_vertex_conjugation(real):
-    def tilde(ctx, cyc, label):
-        e = ctx.graph.edge(label)
-        on_cycle = [v for v in (e.a, e.b) if cyc.local_index(v) is not None]
-        if len(on_cycle) == 1 and label != cyc.chord and label not in cyc.cycle_edges:
-            return (label,)
-        return real(ctx, cyc, label)
-    return tilde
-
-
-def _mu_slot_i_only(real):
-    def mu(gen, n):
-        comps = list(real(gen, n).components)
-        if gen.i != gen.j:
-            comps[gen.j - 1] = ReducedWord()
-        return FStarElement(tuple(comps))
-    return mu
-
-
-def _mu_swapped(real):
-    return lambda gen, n: real(AGenerator(gen.chord, gen.j, gen.i), n)
-
-
-def _relators_without_forks(real):
-    def relators(g, which):
-        forks = set(real(g, "coxy")) - set(real(g, "coxeter"))
-        return tuple(r for r in real(g, which) if r not in forks)
-    return relators
-
+# The real functions the faults edit, read before any is planted.
+_run, _gamma, _tilde = embedding._run, embedding.gamma, embedding.tilde
+_mu, _relators = presentation.mu, presentation.relators
 
 # (name, what is planted, module, global, fault factory, equivalence reason or
 # None): the factory takes the real global and returns its replacement.
 FAULTS = [
-    ("no-slot-swap", "_run without the slot swap",
-     embedding, "_run", _faulty_run(swap=False), None),
+    ("no-slot-swap", "_run without the slot swap", embedding, "_run", edited(
+        _run, ("sa = stacks[b]\n        sb = stacks[a]\n"
+               "        stacks[a] = sa\n        stacks[b] = sb",
+               "sa, sb = stacks[a], stacks[b]\n        sa[0], sb[0] = sb[0], sa[0]")),
+     None),
     ("chord-slot-a-only", "_run puts the chord letter on slot a only",
-     embedding, "_run", _faulty_run(slot_b=False), None),
+     embedding, "_run", edited(
+         _run, ("            if sb[-1] is plus:\n                sb.pop()\n"
+                "            else:\n                sb.append(minus)\n", "")), None),
     ("last-chord-as-tree-edge", "_run treats the last chord as a tree edge",
-     embedding, "_run", _faulty_run(tree_chord=True), None),
+     embedding, "_run", edited(
+         _run, ("if plus is not None:",
+                "if plus is not None and label != ctx.chords[-1]:")), None),
     ("gamma-without-prefix", "gamma off the cycle without its conjugating prefix",
-     embedding, "gamma", _gamma_without_prefix, None),
+     embedding, "gamma", edited(
+         _gamma, ("return tuple(prefix) + base + path", "return base + path")), None),
     ("tilde-one-vertex-bare", "tilde drops the one-vertex conjugation",
-     embedding, "tilde", _tilde_without_one_vertex_conjugation, None),
-    ("mu-slot-i-only", "mu with the letter in slot i only",
-     oracle, "mu", _mu_slot_i_only, None),
+     embedding, "tilde", edited(
+         _tilde, ("return (u_next, label, u_next)", "return (label,)")), None),
+    ("mu-slot-i-only", "mu with the letter in slot i only", oracle, "mu", edited(
+        _mu, ("        comps[gen.j - 1] = ReducedWord._trusted(((gen.chord, -1),))\n",
+              "")), None),
     ("missed-cancellation-7",
      "_run misses a cancellation when a stack's length is a multiple of 7",
-     embedding, "_run", _faulty_run(miss7=True), None),
-    ("no-fork-relators", "fork relators not emitted",
-     oracle, "relators", _relators_without_forks, None),
+     embedding, "_run", edited(
+         _run, ("if sa[-1] is minus:", "if sa[-1] is minus and (len(sa) - 1) % 7:"),
+         ("if sb[-1] is plus:", "if sb[-1] is plus and (len(sb) - 1) % 7:")), None),
+    ("no-fork-relators", "fork relators not emitted", oracle, "relators", edited(
+        _relators, ("rels.append((u, v, w, v, u, v, w, v))", "pass")), None),
     ("chord-orientation-exchanged", "_run with the chord letter's orientation exchanged",
-     embedding, "_run", _faulty_run(flip=True),
+     embedding, "_run", edited(
+         _run, ("a, b, plus, minus = steps[label]", "a, b, minus, plus = steps[label]")),
      "x -> x^-1 on every chord is an automorphism of F_t^n that commutes "
      "with the slot action, so no image changes between trivial and not"),
-    ("mu-i-j-exchanged", "mu with i and j exchanged",
-     oracle, "mu", _mu_swapped,
+    ("mu-i-j-exchanged", "mu with i and j exchanged", oracle, "mu", edited(
+        _mu, ("comps = [EMPTY_WORD] * n",
+              "gen = AGenerator(gen.chord, gen.j, gen.i)\n    comps = [EMPTY_WORD] * n")),
      "mu(x_ji) is mu(x_ij) under x -> x^-1, an automorphism, and every law "
      "of the identity suite holds or fails in both forms alike"),
 ]

@@ -128,7 +128,7 @@ class Graph:
 def parse_graph(text: str) -> Graph:
     """Parse the plain-text edge list format.
 
-    Each non-empty, non-comment line reads ``A B LABEL`` with positive
+    Each non-empty, non-comment line reads ``A B LABEL`` with positive ASCII
     integer endpoints; ``#`` starts a comment.  The vertex count is the
     largest endpoint mentioned.  ``Graph`` validates the rows read before
     the first line that does not parse, so an earlier invalid row wins.
@@ -144,8 +144,11 @@ def parse_graph(text: str) -> Graph:
         if len(parts) != 3:
             error = GraphParseError(f"expected 'A B LABEL', got {line!r}", lineno)
             break
-        try:
-            rows.append((parts[2], int(parts[0]), int(parts[1])))
+        a, b, label = parts
+        try:  # int() alone also reads "1_0" as 10, and non-ASCII digits
+            if not (a.isascii() and b.isascii()) or "_" in a or "_" in b:
+                raise ValueError
+            rows.append((label, int(a), int(b)))
         except ValueError:
             error = GraphParseError(f"bad vertex in {line!r}", lineno)
             break

@@ -14,12 +14,11 @@ import random
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from itertools import repeat
 
-from . import embedding
 from ._record import Record
 from .embedding import (
     Context,
-    VerdictKind,
     build_context,
+    is_trivial,
     kernel_generator_parts,
     phi,
     trivial_image,
@@ -64,16 +63,13 @@ class OracleReport(Record):
 def check_relators(ctx: Context) -> OracleReport:
     """Every defining relator must die: the fork-quotient relators under the
     semidirect evaluation, the full symmetric-group relators under the bare
-    permutation evaluation.  A fork-quotient relator fixes every vertex, so
-    its word is read once, by the evaluator (``embedding._run``).
+    permutation evaluation.  ``trivial_image`` decides each fork-quotient
+    relator; ``phi`` renders one only when it fails.
     """
     coxy = relators(ctx.graph, "coxy")
     symmetric = relators(ctx.graph, "symmetric")
-    failures = []
-    for rel in coxy:
-        if embedding._run(ctx, rel) != ctx.identity_state:
-            failures.append(("semidirect-image", " ".join(rel), "identity",
-                             str(phi(ctx, rel))))
+    failures = [("semidirect-image", " ".join(rel), "identity", str(phi(ctx, rel)))
+                for rel in coxy if not trivial_image(ctx, rel)]
     for rel in symmetric:
         img = perm_of_word(ctx.graph, rel)
         if not img.is_identity():
@@ -404,20 +400,11 @@ def parabolic_check(ctx: Context, sub_labels: Iterable[str], samples: int,
     sub_ctx = build_context(edge_subgraph(ctx.graph, sub_labels))
     if sub_ctx.is_k4:
         raise ValueError("the complete four-vertex subgraph is excluded")
-    rng = random.Random(seed)
-    inner_kind = (VerdictKind.NONTRIVIAL.value, VerdictKind.TRIVIAL.value)
-    outer_kind = (VerdictKind.NONTRIVIAL.value, (
-        VerdictKind.TRIVIAL_IN_QUOTIENT if ctx.is_k4 else VerdictKind.TRIVIAL
-    ).value)
-    failures = []
     # One word at a time, so memory does not grow with the sample count.
-    for w in random_words(rng, sub_labels, samples):
-        inner = trivial_image(sub_ctx, w)
-        if inner != trivial_image(ctx, w):
-            failures.append((
-                "verdict-agreement", " ".join(w) or "<empty>",
-                inner_kind[inner], outer_kind[not inner],
-            ))
+    failures = [("verdict-agreement", " ".join(w) or "<empty>",
+                 is_trivial(sub_ctx, w).kind.value, is_trivial(ctx, w).kind.value)
+                for w in random_words(random.Random(seed), sub_labels, samples)
+                if trivial_image(sub_ctx, w) != trivial_image(ctx, w)]
     return OracleReport(f"parabolic({','.join(sub_labels)},seed={seed})",
                         max(samples, 0), failures)
 

@@ -3,6 +3,7 @@
 A plain module, not a conftest: test modules import from it directly.
 """
 
+import itertools
 import random
 from typing import Sequence
 
@@ -75,6 +76,33 @@ def components_by_walk(g: Graph) -> list[tuple[int, ...]]:
                     stack.append(w)
         comps.append(tuple(sorted(comp)))
     return comps
+
+
+def fork_oracle(g: Graph) -> bool:
+    """Exhaustive injective embedding of the fork pattern (three edges out
+    of a middle vertex)."""
+    adj = {(e.a, e.b) for e in g.edges} | {(e.b, e.a) for e in g.edges}
+    for mid, x, y, z in itertools.permutations(g.vertices(), 4):
+        if (mid, x) in adj and (mid, y) in adj and (mid, z) in adj:
+            return True
+    return False
+
+
+def isomorphic(g1: Graph, g2: Graph) -> bool:
+    """Whether some bijection of the vertices maps g1's edges onto g2's,
+    tried one permutation at a time."""
+    if g1.n != g2.n or len(g1.edges) != len(g2.edges):
+        return False
+    pairs2 = {(e.a, e.b) for e in g2.edges}
+    for images in itertools.permutations(range(1, g1.n + 1)):
+        relabel = dict(zip(range(1, g1.n + 1), images))
+        if all(
+            (min(relabel[e.a], relabel[e.b]), max(relabel[e.a], relabel[e.b]))
+            in pairs2
+            for e in g1.edges
+        ):
+            return True
+    return False
 
 
 def integer_rank(mat: list[list[int]]) -> int:

@@ -45,7 +45,7 @@ from coxgraph.oracle import (
 )
 from coxgraph.perms import Permutation, perm_of_word
 from coxgraph.presentation import AGenerator, mu, tsaranov_presentation
-from reference import bfs_group_order
+from reference import bfs_group_order, fork_oracle, isomorphic
 
 SEED = 2024
 
@@ -231,38 +231,15 @@ def test_criterion_10_tsaranov():
                 "relator family", ok)
 
 
-def _isomorphic(g1: Graph, g2: Graph) -> bool:
-    if g1.n != g2.n or len(g1.edges) != len(g2.edges):
-        return False
-    pairs2 = {(e.a, e.b) for e in g2.edges}
-    for images in itertools.permutations(range(1, g1.n + 1)):
-        relabel = dict(zip(range(1, g1.n + 1), images))
-        if all(
-            (min(relabel[e.a], relabel[e.b]), max(relabel[e.a], relabel[e.b]))
-            in pairs2
-            for e in g1.edges
-        ):
-            return True
-    return False
-
-
-def _fork_oracle(g: Graph) -> bool:
-    adj = {(e.a, e.b) for e in g.edges} | {(e.b, e.a) for e in g.edges}
-    return any(
-        (mid, x) in adj and (mid, y) in adj and (mid, z) in adj
-        for mid, x, y, z in itertools.permutations(g.vertices(), 4)
-    )
-
-
 def test_criterion_11_dual_and_fork():
-    ok = _isomorphic(dual_graph(y_graph()), cycle_graph(3))
+    ok = isomorphic(dual_graph(y_graph()), cycle_graph(3))
     for n in range(3, 9):
-        ok = ok and _isomorphic(dual_graph(cycle_graph(n)), cycle_graph(n))
+        ok = ok and isomorphic(dual_graph(cycle_graph(n)), cycle_graph(n))
     base = list(itertools.combinations(range(1, 6), 2))
     for k in range(1, 6):
         for chosen in itertools.combinations(base, k):
             n = max(v for pair in chosen for v in pair)
             g = Graph(n, [(f"e{i}", a, b) for i, (a, b) in enumerate(chosen)])
-            ok = ok and has_forbidden_fork(g)[0] == _fork_oracle(g)
-    ok = ok and _isomorphic(dual_graph(path_graph(4)), path_graph(3))
+            ok = ok and has_forbidden_fork(g)[0] == fork_oracle(g)
+    ok = ok and isomorphic(dual_graph(path_graph(4)), path_graph(3))
     _report(11, "dual-graph isomorphisms and exhaustive fork agreement", ok)

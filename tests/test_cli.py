@@ -410,6 +410,10 @@ def test_usage_error_exits_2(capsys):
     ("1 2 a\n2 1 a\n", "line 2: edge a: duplicate pair {1,2}"),
     ("1 2 a\n1\n1 2 a\n", "line 2: expected 'A B LABEL', got '1'"),
     ("1 2 a\n1 x b\n0 1 c\n", "line 2: bad vertex in '1 x b'"),
+    # an endpoint is ASCII digits: int() alone reads these as 30, 10 and 1
+    ("1 2 a\n2 3_0 b\n", "line 2: bad vertex in '2 3_0 b'"),
+    ("1_0 2 a\n", "line 1: bad vertex in '1_0 2 a'"),
+    ("\u0661 2 a\n", "line 1: bad vertex in '\u0661 2 a'"),
     ("# only a comment\n\n", "line 1: no edges"),
 ])
 def test_parse_error_precedence(tmp_path, capsys, text, err):

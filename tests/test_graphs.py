@@ -35,7 +35,7 @@ from coxgraph.graphs import (
 from coxgraph.oracle import parabolic_check
 from coxgraph.presentation import relators
 
-from reference import components_by_walk
+from reference import components_by_walk, fork_oracle, isomorphic
 from strategies import random_connected_graphs
 
 # ---------------------------------------------------------------- oracles
@@ -92,32 +92,6 @@ def all_simple_paths(g: Graph, a: int, b: int) -> list[tuple[list[int], list[str
     return out
 
 
-def fork_oracle(g: Graph):
-    """Exhaustive injective embedding of the fork pattern (three edges out
-    of a middle vertex)."""
-    adj = {(e.a, e.b) for e in g.edges} | {(e.b, e.a) for e in g.edges}
-    for quad in itertools.permutations(g.vertices(), 4):
-        mid, x, y, z = quad
-        if (mid, x) in adj and (mid, y) in adj and (mid, z) in adj:
-            return True
-    return False
-
-
-def isomorphic(g1: Graph, g2: Graph) -> bool:
-    if g1.n != g2.n or len(g1.edges) != len(g2.edges):
-        return False
-    pairs2 = {(e.a, e.b) for e in g2.edges}
-    for images in itertools.permutations(range(1, g1.n + 1)):
-        relabel = dict(zip(range(1, g1.n + 1), images))
-        if all(
-            (min(relabel[e.a], relabel[e.b]), max(relabel[e.a], relabel[e.b]))
-            in pairs2
-            for e in g1.edges
-        ):
-            return True
-    return False
-
-
 # ---------------------------------------------------------------- parsing
 
 
@@ -125,6 +99,7 @@ def test_parse_two_edge_path():
     g = parse_graph("1 2 a\n2 3 b")
     assert g.n == 3
     assert {(e.label, e.a, e.b) for e in g.edges} == {("a", 1, 2), ("b", 2, 3)}
+    assert parse_graph("+1 2 a\n2 +3 b") == g  # a sign is allowed
 
 
 def test_parse_rejects_duplicate_pair():

@@ -7,9 +7,10 @@ import importlib.util
 import random
 from pathlib import Path
 
+import pytest
+
 from coxgraph import embedding, oracle
 from coxgraph.embedding import phi
-from coxgraph.oracle import full_suite
 
 _spec = importlib.util.spec_from_file_location(
     "mutants", Path(__file__).resolve().parents[1] / "scripts" / "mutants.py")
@@ -48,12 +49,24 @@ def test_every_uncaught_fault_is_a_named_survivor_or_equivalent():
     assert [name for name, *_ in mutants.FAULTS] == list(PINNED)
 
 
-def test_evaluator_copy_without_a_fault_passes(corpus_contexts):
-    """The faults of ``_run`` are planted in a copy of it; without a fault
-    the copy passes every report, so each row measures its fault alone."""
-    with mutants.planted(embedding, "_run", mutants._faulty_run()):
-        for name, ctx in corpus_contexts.items():
-            assert all(r.ok for r in full_suite(ctx, 1, 20)), name
+def test_edited_requires_each_old_text_exactly_once():
+    """An edit whose text is missing or repeated names the function it
+    could not edit, so a changed source cannot plant a different fault."""
+    with pytest.raises(ValueError, match=r"^_run: 'no such text' occurs 0 times"):
+        mutants.edited(embedding._run, ("no such text", ""))
+    with pytest.raises(ValueError, match=r"^_run: 'pop\(\)' occurs 2 times"):
+        mutants.edited(embedding._run, ("pop()", "pop(0)"))
+
+
+def test_every_fault_is_an_edit_of_the_real_function():
+    """Importing the script applied every edit: each fault is the real
+    function recompiled from changed source, in the real one's globals."""
+    for name, _, module, attr, factory, _ in mutants.FAULTS:
+        real = getattr(module, attr)
+        fault = factory(real)
+        assert fault.__name__ == real.__name__ and fault is not real, name
+        assert fault.__globals__ is real.__globals__, name
+        assert fault.__code__.co_code != real.__code__.co_code, name
 
 
 def test_survivors_are_real_faults(corpus_contexts, corpus_graphs):
